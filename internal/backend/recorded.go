@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"bhive/internal/atomicfile"
 	"bhive/internal/pipeline"
 	"bhive/internal/profiler"
 	"bhive/internal/uarch"
@@ -168,7 +169,7 @@ func (r *Recorder) Close() error {
 			err = os.Rename(tmp, r.path)
 		}
 		if err == nil {
-			err = syncDir(filepath.Dir(r.path))
+			err = atomicfile.SyncDir(filepath.Dir(r.path))
 		}
 		if err != nil {
 			os.Remove(tmp)
@@ -182,22 +183,6 @@ func (r *Recorder) Close() error {
 		return fmt.Errorf("backend: trace: %w", err)
 	}
 	return nil
-}
-
-// syncDir makes the just-renamed directory entry durable: rename alone
-// only updates the entry in memory, so a crash shortly after Close could
-// otherwise roll the published trace back out of the directory.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("syncing %s: %w", dir, serr)
-	}
-	return cerr
 }
 
 // RecordedBackend replays a measurement trace deterministically: every

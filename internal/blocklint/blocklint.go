@@ -1,21 +1,21 @@
 // Package blocklint is the static semantic analyzer over decoded x86-64
-// basic blocks: it predicts, without running the machine, how the BHive
+// basic blocks: it predicts, without timing anything, how the BHive
 // measurement protocol will classify a block, and computes per-block facts
 // (def-use chains, loop-carried dependence height, memory-operand address
 // classification, encode/decode round-trip fidelity).
 //
-// The core is an abstract interpreter (absexec.go) that mirrors
-// internal/exec bit-exactly for the modeled integer subset, over a
-// Known/Unknown value domain, and replays the profiler's exact run
-// sequence: the monitored mapping run and the timed run at the high unroll
-// factor, then both again at the low factor, with memory persisting across
-// runs and registers re-initialized — exactly what internal/profiler
-// executes. Because every Unknown is propagated conservatively, a non-OK
-// prediction is a guarantee: the dynamic protocol must reject the block
-// with that status (or with one of the whitelisted timing-only preemptions
-// — see Report.Agrees). That soundness property is what makes the
-// -prescreen mode of bhive-eval/bhive-profile safe: skipping a statically
-// rejected block never discards a measurable one.
+// The verdict comes from the profiler's own functional pass
+// (profiler.Profiler.Functional): the block prepared at the high unroll
+// factor and executed once under the page-fault monitor, exactly as
+// Profile runs it. The interpreter is concrete (every register, flag and
+// memory byte starts known), so the pass decides the Crashed and
+// Unsupported outcomes exactly, and its trace decides Misaligned under the
+// pipeline's line-split rule. The low unroll factor's run is a prefix of
+// the high factor's, so it needs no pass of its own. A non-OK prediction
+// is therefore a guarantee (up to the timing-only preemptions whitelisted
+// by Report.Agrees), which is what makes the -prescreen mode of
+// bhive-eval/bhive-profile safe: skipping a statically rejected block
+// never discards a measurable one.
 //
 // Every finding carries a machine-readable diagnostic code (BL001…); the
 // catalogue is in DESIGN.md § Static block analysis.
@@ -24,13 +24,16 @@ package blocklint
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"reflect"
 
 	"bhive/internal/bound"
+	"bhive/internal/exec"
 	"bhive/internal/memo"
 	"bhive/internal/profiler"
 	"bhive/internal/uarch"
+	"bhive/internal/vm"
 	"bhive/internal/x86"
 )
 
@@ -54,29 +57,28 @@ const (
 	// CodeUnsupported (BL006): the target microarchitecture cannot
 	// execute an instruction (e.g. AVX2 on Ivy Bridge).
 	CodeUnsupported
-	// CodeBadAddress (BL007): a memory access is guaranteed to fault in a
-	// way the monitor cannot repair (invalid user address, or a fault in
-	// an unmonitored timed run).
+	// CodeBadAddress (BL007): a memory access faults in a way the monitor
+	// cannot repair (not a mappable user address, or a misaligned operand
+	// of an aligned vector move).
 	CodeBadAddress
 	// CodeDivideError (BL008): a division is guaranteed to raise #DE.
 	CodeDivideError
 	// CodePageBudget (BL009): the block touches more distinct pages than
 	// the monitor's MaxFaults budget.
 	CodePageBudget
-	// CodeLineSplit (BL010): a timed-run access is guaranteed to cross a
-	// cache-line boundary, so the misaligned filter rejects the block.
+	// CodeLineSplit (BL010): a timed-run access crosses a cache-line
+	// boundary, so the misaligned filter rejects the block.
 	CodeLineSplit
 	// CodeNoMapping (BL011): the block accesses memory while page mapping
 	// is disabled (the Agner-script baseline crashes on any access).
 	CodeNoMapping
-	// CodeInexact (BL012): unknown values reached a point that may crash;
-	// the prediction is conservative (OK unless proven otherwise).
-	CodeInexact
-	// CodeUnmodeled (BL013): a vector/unmodeled instruction was treated
-	// conservatively (its outputs are unknown to the analyzer).
-	CodeUnmodeled
-	// CodeNoExec (BL014): the functional executor does not implement the
-	// instruction, so execution is guaranteed to crash.
+	// BL012 and BL013 are retired: they marked the conservative cases of
+	// an abstract interpreter the analyzer no longer has. The slots stay
+	// so later codes keep their numbers.
+	_
+	_
+	// CodeNoExec (BL014): the functional executor cannot run the
+	// instruction, so execution crashes.
 	CodeNoExec
 	// CodeVacuousBounds (BL015): an instruction's opcode is missing from
 	// the µop table, so its descriptor is the generic single-cycle ALU
@@ -164,11 +166,6 @@ type Report struct {
 	Predicted profiler.Status `json:"-"`
 	// PredictedName is Predicted's string form, for JSON output.
 	PredictedName string `json:"predicted"`
-	// Exact reports whether the prediction is a guarantee in both
-	// directions: a non-OK prediction is always guaranteed; an OK
-	// prediction is guaranteed crash-free only when Exact (timing-only
-	// outcomes — cache-miss, unstable — remain possible either way).
-	Exact bool `json:"exact"`
 	// Diags lists every finding, reject-severity first.
 	Diags []Diag `json:"diags,omitempty"`
 	// Facts carries the per-block static facts (nil when the block does
@@ -185,52 +182,34 @@ type Report struct {
 func (r *Report) Rejected() bool { return r.Predicted != profiler.StatusOK }
 
 // Agrees reports whether a dynamic profiling status is consistent with
-// the static prediction. Exact agreement always is; beyond it, the
-// whitelisted pairs are:
-//
-//   - predicted OK, inexact: unknown values limited the analysis, so any
-//     dynamic outcome except Unsupported is possible (support is decided
-//     purely statically and is never inexact);
-//   - predicted OK, exact: the timing-only rejects (cache-miss, unstable)
-//     cannot be ruled out statically;
-//   - predicted Misaligned: the sample-acceptance and cache-miss checks
-//     run before the misaligned filter and may preempt it.
-//
-// Everything else is a genuine disagreement — one of the two sides is
-// wrong about the machine.
+// the static prediction. Equal statuses always are; beyond them, a
+// predicted OK or Misaligned may be preempted by the timing-only rejects
+// (cache-miss, unstable), which the analyzer does not predict and which
+// the profiler checks before the misaligned filter. Everything else is a
+// genuine disagreement — one of the two sides is wrong about the machine.
 func (r *Report) Agrees(dyn profiler.Status) bool {
 	if r.Predicted == dyn {
 		return true
 	}
 	switch r.Predicted {
-	case profiler.StatusOK:
-		if !r.Exact {
-			return dyn != profiler.StatusUnsupported
-		}
-		return dyn == profiler.StatusCacheMiss || dyn == profiler.StatusUnstable
-	case profiler.StatusMisaligned:
+	case profiler.StatusOK, profiler.StatusMisaligned:
 		return dyn == profiler.StatusCacheMiss || dyn == profiler.StatusUnstable
 	}
 	return false
 }
 
 // Analyzer analyzes blocks for one microarchitecture under one set of
-// measurement options. It is stateless and safe for concurrent use.
+// measurement options. It is safe for concurrent use.
 type Analyzer struct {
 	CPU  *uarch.CPU
 	Opts profiler.Options
 
-	// LegacyDepHeights restores the pre-bound dependence-height model for
-	// Facts (string-resource def-use over summed µop latencies, including
-	// store µops and address reads on every instruction). The default
-	// model is internal/bound's simulator-congruent chain analysis, which
-	// the static cycle bounds are built on.
-	LegacyDepHeights bool
+	prof *profiler.Profiler // runs the functional pass
 }
 
 // New builds an analyzer mirroring a profiler.New(cpu, opts).
 func New(cpu *uarch.CPU, opts profiler.Options) *Analyzer {
-	return &Analyzer{CPU: cpu, Opts: opts}
+	return &Analyzer{CPU: cpu, Opts: opts, prof: profiler.New(cpu, opts)}
 }
 
 // AnalyzeHex analyzes a block given as corpus machine-code hex. Undecodable
@@ -242,7 +221,6 @@ func (a *Analyzer) AnalyzeHex(hexStr string) *Report {
 		return &Report{
 			Predicted:     profiler.StatusCrashed,
 			PredictedName: profiler.StatusCrashed.String(),
-			Exact:         true,
 			Diags:         []Diag{{Code: CodeNoDecode, Inst: -1, Offset: -1, Msg: fmt.Sprintf("not hex: %v", err)}},
 		}
 	}
@@ -256,7 +234,6 @@ func (a *Analyzer) AnalyzeHex(hexStr string) *Report {
 			Hex:           hexStr,
 			Predicted:     profiler.StatusCrashed,
 			PredictedName: profiler.StatusCrashed.String(),
-			Exact:         true,
 			Diags:         []Diag{d},
 		}
 	}
@@ -269,7 +246,7 @@ func (a *Analyzer) Analyze(b *x86.Block) *Report { return a.analyze(b, nil) }
 // analyze runs the full pipeline; orig, when non-nil, is the block's
 // original encoding (for round-trip fidelity checking).
 func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
-	rep := &Report{NumInsts: len(b.Insts), Predicted: profiler.StatusOK, Exact: true}
+	rep := &Report{NumInsts: len(b.Insts), Predicted: profiler.StatusOK}
 	defer func() {
 		rep.PredictedName = rep.Predicted.String()
 		sortDiags(rep.Diags)
@@ -285,8 +262,9 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	n := len(b.Insts)
 	lo, hi := a.Opts.UnrollFactors(n)
 
-	// Mirror machine.PrepareUnrolled: encode then describe each distinct
-	// instruction in order; the first failure decides the status.
+	// Encode and describe each instruction in order, as Prepare does: the
+	// facts and bounds need both, and the first failure decides the status
+	// with the offending instruction named.
 	raws := make([][]byte, n)
 	descs := make([]uarch.Desc, n)
 	offsets := make([]int, n)
@@ -323,17 +301,14 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	rep.Hex = hex.EncodeToString(code)
 	a.roundTrip(rep, b.Insts, code, orig)
 
-	rep.Facts = computeFacts(b.Insts, descs, offsets, lo, hi, len(code)*hi)
+	rep.Facts = computeFacts(b.Insts, offsets, lo, hi, len(code)*hi)
 
-	// Static cycle bounds over the same descriptors; unless the legacy
-	// model is requested, the dependence facts come from the same
-	// simulator-congruent chain analysis the bounds use (rename-aware,
+	// Static cycle bounds over the same descriptors; the dependence facts
+	// come from the same simulator-congruent chain analysis (rename-aware,
 	// address/data asymmetric, store µops excluded from chains).
 	rep.Bounds = bound.FromDescs(a.CPU, b.Insts, descs)
-	if !a.LegacyDepHeights {
-		rep.Facts.CritLatency = rep.Bounds.CritPath
-		rep.Facts.DepHeight = int(rep.Bounds.DepChain + 0.5)
-	}
+	rep.Facts.CritLatency = rep.Bounds.CritPath
+	rep.Facts.DepHeight = int(rep.Bounds.DepChain + 0.5)
 	for i := range descs {
 		if descs[i].Generic {
 			rep.addDiag(Diag{Code: CodeVacuousBounds, Inst: i, Offset: offsets[i],
@@ -341,14 +316,46 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 		}
 	}
 
-	// The abstract replay of the measurement protocol.
-	it := newInterp(a, b.Insts, raws, hi)
-	status, exact := it.replay(lo, hi)
-	rep.Predicted = status
-	rep.Exact = exact
-	rep.Diags = append(rep.Diags, it.diags...)
-	it.fillMemFacts(rep.Facts)
+	a.prof.Functional(b, func(ps *profiler.Pass) {
+		rep.Predicted = ps.Status
+		if ps.Status != profiler.StatusOK {
+			rep.addDiag(faultDiag(ps, b.Insts, offsets))
+			return
+		}
+		if split := observeMem(rep.Facts, ps.Steps, n, uint64(a.CPU.LineSize)); split >= 0 && a.Opts.FilterMisaligned {
+			rep.Predicted = profiler.StatusMisaligned
+			rep.addDiag(Diag{Code: CodeLineSplit, Inst: split, Offset: offsets[split],
+				Msg: fmt.Sprintf("%s: access crosses a cache-line boundary in the timed run", b.Insts[split].String())})
+		}
+	})
 	return rep
+}
+
+// faultDiag names the failure that ended a functional pass. The faulting
+// instruction is the one after the last traced step. (Prepare failures
+// never reach here: analyze reports them first, naming the instruction.)
+func faultDiag(ps *profiler.Pass, insts []x86.Inst, offsets []int) Diag {
+	i := len(ps.Steps) % len(insts)
+	d := Diag{Code: CodeNoExec, Inst: i, Offset: offsets[i], Msg: fmt.Sprintf("%s: %v", insts[i].String(), ps.Err)}
+	var fault *vm.Fault
+	var align *exec.AlignmentError
+	switch {
+	case errors.As(ps.Err, &fault):
+		switch ps.Refused {
+		case profiler.RefusedNoMapping:
+			d.Code = CodeNoMapping
+		case profiler.RefusedBudget:
+			d.Code = CodePageBudget
+			d.Msg += fmt.Sprintf(" after %d pages mapped (MaxFaults)", ps.PagesMapped)
+		default:
+			d.Code = CodeBadAddress
+		}
+	case errors.As(ps.Err, &align):
+		d.Code = CodeBadAddress
+	case errors.Is(ps.Err, exec.DivideError{}):
+		d.Code = CodeDivideError
+	}
+	return d
 }
 
 // roundTrip checks decode→encode→decode fidelity: code is the block's

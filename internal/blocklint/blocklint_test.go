@@ -1,7 +1,9 @@
 package blocklint
 
 import (
+	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"bhive/internal/corpus"
@@ -30,8 +32,8 @@ func hasCode(rep *Report, c Code) bool {
 
 func TestAnalyzeHexRejectsNonHex(t *testing.T) {
 	rep := defaultAnalyzer(t).AnalyzeHex("zz")
-	if rep.Predicted != profiler.StatusCrashed || !rep.Exact {
-		t.Fatalf("got %v exact=%v, want guaranteed crashed", rep.Predicted, rep.Exact)
+	if rep.Predicted != profiler.StatusCrashed {
+		t.Fatalf("got %v, want crashed", rep.Predicted)
 	}
 	if !hasCode(rep, CodeNoDecode) {
 		t.Fatalf("want BL001, got %v", rep.Diags)
@@ -67,15 +69,18 @@ func TestPredictions(t *testing.T) {
 		{"line-split", "488b413f", profiler.StatusMisaligned, CodeLineSplit},
 		{"noncanonical", "488b81000000ed", profiler.StatusCrashed, CodeBadAddress},
 		{"page-budget", "4881c300100000488b03", profiler.StatusCrashed, CodePageBudget},
+		// movaps xmm0,[rcx+8]: rcx holds the 16-byte-aligned init
+		// pattern, so the aligned vector load raises #GP.
+		{"movaps-misaligned", "0f284108", profiler.StatusCrashed, CodeBadAddress},
+		// movq rax,xmm0; shl rax,40; mov rbx,[rax]: the vector register's
+		// init pattern, shifted, is a non-canonical pointer.
+		{"vector-pointer", "66480f7ec048c1e028488b18", profiler.StatusCrashed, CodeBadAddress},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			rep := a.AnalyzeHex(tc.hex)
 			if rep.Predicted != tc.want {
 				t.Fatalf("predicted %v, want %v (diags %v)", rep.Predicted, tc.want, rep.Diags)
-			}
-			if rep.Rejected() && !rep.Exact {
-				t.Fatalf("non-OK prediction must be exact")
 			}
 			if tc.code != 0 && !hasCode(rep, tc.code) {
 				t.Fatalf("want %v among %v", tc.code, rep.Diags)
@@ -108,16 +113,16 @@ func TestUnsupported(t *testing.T) {
 	}
 }
 
-func TestVectorConservative(t *testing.T) {
-	// movaps xmm1,[rcx]: the loaded data is unknown, but the address
-	// (pattern-initialized rcx) is exact, so the verdict stays OK with a
-	// BL013 note and an inexactness marker only if something may crash.
-	rep := defaultAnalyzer(t).AnalyzeHex("0f280f01c8")
-	if rep.Predicted != profiler.StatusOK {
-		t.Fatalf("got %v %v", rep.Predicted, rep.Diags)
+// TestVectorExact checks that vector instructions get the concrete
+// interpreter's exact semantics: an aligned load from the aligned init
+// pattern runs clean and yields no diagnostic at all.
+func TestVectorExact(t *testing.T) {
+	rep := defaultAnalyzer(t).AnalyzeHex("0f280f01c8") // movaps xmm1,[rcx]; add rax,rcx
+	if rep.Predicted != profiler.StatusOK || len(rep.Diags) != 0 {
+		t.Fatalf("got %v %v, want ok with no diagnostics", rep.Predicted, rep.Diags)
 	}
-	if !hasCode(rep, CodeUnmodeled) {
-		t.Fatalf("want BL013 note, got %v", rep.Diags)
+	if m := rep.Facts.Mem[0]; !m.Observed || m.Align != 512 || !m.StrideKnown || m.Stride != 0 {
+		t.Fatalf("movaps mem fact %+v, want observed, 512-aligned (the init pattern), zero stride", m)
 	}
 }
 
@@ -166,17 +171,10 @@ func TestFacts(t *testing.T) {
 	}
 
 	// lea rax,[rax+8]: the simulator wires address deps only into load
-	// µops, so the sim-congruent model reports no carried chain; the
-	// legacy model charged the LEA latency.
+	// µops, so the sim-congruent model reports no carried chain.
 	rep = a.AnalyzeHex("488d4008")
 	if h := rep.Facts.DepHeight; h != 0 {
 		t.Errorf("lea dep height %d, want 0 under the sim-congruent model", h)
-	}
-	legacy := New(a.CPU, a.Opts)
-	legacy.LegacyDepHeights = true
-	rep = legacy.AnalyzeHex("488d4008")
-	if h := rep.Facts.DepHeight; h == 0 {
-		t.Errorf("legacy lea dep height %d, want nonzero", h)
 	}
 
 	// mov rax,[rsp+8]: rsp-relative class, observed exact addresses.
@@ -226,20 +224,22 @@ func TestAgreementHandcrafted(t *testing.T) {
 	a := New(cpu, opts)
 	p := profiler.New(cpu, opts)
 	blocks := []string{
-		"4889c8",               // mov rax,rcx
-		"50",                   // push rax
-		"505b",                 // push rax; pop rbx
-		"31c9f7f1",             // xor ecx,ecx; div ecx
-		"488b413f",             // line-splitting load
-		"488b81000000ed",       // non-canonical address
-		"4881c300100000488b03", // page-budget blowout
-		"488b442408",           // mov rax,[rsp+8]
-		"488b04d1",             // mov rax,[rcx+rdx*8]
-		"0f280f01c8",           // movaps xmm1,[rcx]; add rax,rcx
-		"4801d8",               // add rax,rbx
-		"480fafc0",             // imul rax,rax
-		"c5fdfec0",             // vpaddd ymm0,ymm0,ymm0
-		"f3480f2ac8",           // cvtsi2ss
+		"4889c8",                   // mov rax,rcx
+		"50",                       // push rax
+		"505b",                     // push rax; pop rbx
+		"31c9f7f1",                 // xor ecx,ecx; div ecx
+		"488b413f",                 // line-splitting load
+		"488b81000000ed",           // non-canonical address
+		"4881c300100000488b03",     // page-budget blowout
+		"488b442408",               // mov rax,[rsp+8]
+		"488b04d1",                 // mov rax,[rcx+rdx*8]
+		"0f280f01c8",               // movaps xmm1,[rcx]; add rax,rcx
+		"4801d8",                   // add rax,rbx
+		"480fafc0",                 // imul rax,rax
+		"c5fdfec0",                 // vpaddd ymm0,ymm0,ymm0
+		"f3480f2ac8",               // cvtsi2ss
+		"0f284108",                 // movaps xmm0,[rcx+8]: alignment fault
+		"66480f7ec048c1e028488b18", // movq rax,xmm0; shl rax,40; mov rbx,[rax]
 	}
 	for _, hexStr := range blocks {
 		rep := a.AnalyzeHex(hexStr)
@@ -249,8 +249,8 @@ func TestAgreementHandcrafted(t *testing.T) {
 		}
 		res := p.Profile(&x86.Block{Insts: raw})
 		if !rep.Agrees(res.Status) {
-			t.Errorf("%s: static %v (exact=%v) vs dynamic %v\n  diags: %v",
-				hexStr, rep.Predicted, rep.Exact, res.Status, rep.Diags)
+			t.Errorf("%s: static %v vs dynamic %v\n  diags: %v",
+				hexStr, rep.Predicted, res.Status, rep.Diags)
 		}
 	}
 }
@@ -278,8 +278,8 @@ func TestAgreementCorpus(t *testing.T) {
 		res := p.Profile(rec.Block)
 		if !rep.Agrees(res.Status) {
 			hexStr, _ := rec.Block.Hex()
-			t.Errorf("%s/%s: static %v (exact=%v) vs dynamic %v\n  diags: %v",
-				rec.App, hexStr, rep.Predicted, rep.Exact, res.Status, rep.Diags)
+			t.Errorf("%s/%s: static %v vs dynamic %v\n  diags: %v",
+				rec.App, hexStr, rep.Predicted, res.Status, rep.Diags)
 		}
 	}
 	t.Logf("%d blocks, %d statically rejected", len(recs), prescreened)
@@ -293,7 +293,7 @@ func TestDiagRendering(t *testing.T) {
 	if s := d.String(); !strings.Contains(s, "BL008") || !strings.Contains(s, "inst 1") {
 		t.Fatalf("diag string %q", s)
 	}
-	if CodeLineSplit.Severity() != SevReject || CodeUnmodeled.Severity() != SevInfo {
+	if CodeLineSplit.Severity() != SevReject || CodeVacuousBounds.Severity() != SevInfo {
 		t.Fatal("severity map wrong")
 	}
 }
@@ -347,4 +347,38 @@ func TestBoundsAttached(t *testing.T) {
 	if CodeVacuousBounds.Severity() != SevInfo {
 		t.Fatalf("BL015 severity %v, want info", CodeVacuousBounds.Severity())
 	}
+}
+
+// TestAnalyzerConcurrent shares one analyzer (and so one profiler's
+// machine pool) across goroutines, as the harness's workers do, and
+// requires every report to match the sequential one.
+func TestAnalyzerConcurrent(t *testing.T) {
+	a := defaultAnalyzer(t)
+	blocks := []string{"4889c8", "31c9f7f1", "488b413f", "0f284108", "4881c300100000488b03", "488b442408"}
+	want := make([]string, len(blocks))
+	for i, h := range blocks {
+		want[i] = reportJSON(t, a.AnalyzeHex(h))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range blocks {
+				i := (k + g) % len(blocks)
+				if got := reportJSON(t, a.AnalyzeHex(blocks[i])); got != want[i] {
+					t.Errorf("%s: concurrent report %s, sequential %s", blocks[i], got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func reportJSON(t *testing.T, rep *Report) string {
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Error(err)
+	}
+	return string(raw)
 }

@@ -3,13 +3,13 @@ package blocklint
 import (
 	"math/bits"
 
-	"bhive/internal/uarch"
+	"bhive/internal/exec"
+	"bhive/internal/vm"
 	"bhive/internal/x86"
 )
 
-// Facts carries the per-block static facts the analyzer derives without
-// running the machine (plus observed-address aggregates from the abstract
-// replay, filled in by interp.fillMemFacts).
+// Facts carries the per-block static facts the analyzer derives, plus the
+// observed-address aggregates of the functional pass (observeMem).
 type Facts struct {
 	// NumInsts is the block length in instructions.
 	NumInsts int `json:"num_insts"`
@@ -48,8 +48,8 @@ type DepEdge struct {
 }
 
 // MemFact describes one memory-accessing instruction: the static shape of
-// its address operand plus, when the abstract replay observed concrete
-// addresses, the realized access pattern in the timed run.
+// its address operand plus, when the functional pass ran to completion,
+// the realized access pattern in the timed run.
 type MemFact struct {
 	// Inst and Offset locate the instruction in the block.
 	Inst   int `json:"inst"`
@@ -67,9 +67,8 @@ type MemFact struct {
 	Disp      int32 `json:"disp"`
 	DispMod64 int   `json:"disp_mod64"`
 
-	// Observed reports whether the abstract replay saw only concrete
-	// addresses for this instruction; the fields below are then exact for
-	// the timed run at the high unroll factor.
+	// Observed reports whether the timed run at the high unroll factor
+	// executed this instruction; the fields below then describe that run.
 	Observed bool `json:"observed"`
 	// Accesses is the number of accesses in that run.
 	Accesses int `json:"accesses,omitempty"`
@@ -89,21 +88,6 @@ type MemFact struct {
 func resName(r x86.Reg) string { return r.Base64().String() }
 
 const flagsRes = "flags"
-
-// instLatency reduces a uarch descriptor to one chain latency: the sum of
-// the µop latencies in program order (load feeding compute feeding store),
-// which is the latency a dependent instruction observes through the
-// longest internal chain. Rename-eliminated idioms contribute nothing.
-func instLatency(d uarch.Desc) int {
-	if d.ZeroIdiom || d.EliminatedMove {
-		return 0
-	}
-	lat := 0
-	for _, u := range d.Uops {
-		lat += int(u.Lat)
-	}
-	return lat
-}
 
 // reads returns the resources an instruction consumes, writes the ones it
 // defines, using the decoder's register-level IO tables plus the flags
@@ -130,9 +114,10 @@ func writes(in *x86.Inst) []string {
 	return out
 }
 
-// computeFacts derives the static facts for one block. descs and offsets
-// are indexed like insts; codeBytes is the hi-unrolled footprint.
-func computeFacts(insts []x86.Inst, descs []uarch.Desc, offsets []int, lo, hi, codeBytes int) *Facts {
+// computeFacts derives the static facts for one block (the dependence
+// heights come from the bound analysis). offsets is indexed like insts;
+// codeBytes is the hi-unrolled footprint.
+func computeFacts(insts []x86.Inst, offsets []int, lo, hi, codeBytes int) *Facts {
 	n := len(insts)
 	f := &Facts{
 		NumInsts:  n,
@@ -141,11 +126,9 @@ func computeFacts(insts []x86.Inst, descs []uarch.Desc, offsets []int, lo, hi, c
 		CodeBytes: codeBytes,
 	}
 
-	lats := make([]int, n)
 	rds := make([][]string, n)
 	wrs := make([][]string, n)
 	for i := range insts {
-		lats[i] = instLatency(descs[i])
 		rds[i] = reads(&insts[i])
 		wrs[i] = writes(&insts[i])
 	}
@@ -188,8 +171,6 @@ func computeFacts(insts []x86.Inst, descs []uarch.Desc, offsets []int, lo, hi, c
 		}
 	}
 
-	f.CritLatency, f.DepHeight = depHeights(lats, rds, wrs)
-
 	// Static memory-operand classification (observed fields come later).
 	for i := range insts {
 		in := &insts[i]
@@ -229,42 +210,6 @@ func classifyAddr(m x86.Mem) string {
 	return "base-relative"
 }
 
-// depHeights runs the dataflow scheduling recurrence over unrolled
-// iterations: each instruction becomes ready when its inputs are, and
-// completes after its chain latency. The first-iteration maximum is the
-// critical path from clean state; the per-iteration increase, once it
-// stabilizes, is the loop-carried dependence height.
-func depHeights(lats []int, rds, wrs [][]string) (crit, height int) {
-	n := len(lats)
-	t := map[string]int{}
-	prevMax, first := 0, 0
-	const iters = 8
-	for iter := 0; iter < iters; iter++ {
-		maxFin := prevMax
-		for i := 0; i < n; i++ {
-			ready := 0
-			for _, r := range rds[i] {
-				if v, ok := t[r]; ok && v > ready {
-					ready = v
-				}
-			}
-			fin := ready + lats[i]
-			for _, w := range wrs[i] {
-				t[w] = fin
-			}
-			if fin > maxFin {
-				maxFin = fin
-			}
-		}
-		if iter == 0 {
-			first = maxFin
-		}
-		height = maxFin - prevMax
-		prevMax = maxFin
-	}
-	return first, height
-}
-
 func containsStr(s []string, v string) bool {
 	for _, x := range s {
 		if x == v {
@@ -274,34 +219,79 @@ func containsStr(s []string, v string) bool {
 	return false
 }
 
-// fillMemFacts merges the observed-address aggregates from the abstract
-// replay's recorded timed run into the static memory facts.
-func (it *interp) fillMemFacts(f *Facts) {
-	if f == nil {
-		return
+// memAgg accumulates one instruction's accesses in the timed run.
+type memAgg struct {
+	fact     *MemFact
+	last     uint64
+	orAddrs  uint64
+	strideOK bool
+	pages    map[uint64]struct{}
+}
+
+// add records one access, in trace order.
+func (g *memAgg) add(acc *exec.MemAccess, split bool) {
+	mf := g.fact
+	mf.Accesses++
+	mf.Splits = mf.Splits || split
+	g.orAddrs |= acc.Addr
+	last := acc.Addr + uint64(acc.Size) - 1
+	for base := acc.Addr & vm.PageMask; ; base += vm.PageSize {
+		g.pages[base] = struct{}{}
+		if base >= last&vm.PageMask {
+			break
+		}
 	}
+	switch d := int64(acc.Addr - g.last); {
+	case mf.Accesses == 1:
+		g.strideOK = true
+	case mf.Accesses == 2:
+		mf.Stride = d
+	case d != mf.Stride:
+		g.strideOK = false
+	}
+	g.last = acc.Addr
+}
+
+// observeMem fills the observed fields of f.Mem from the high-factor
+// trace of an n-instruction block and returns the static index of the
+// first access that crosses a cache line (-1 if none) under the
+// pipeline's rule: the access's first and last bytes fall in different
+// physical lines.
+func observeMem(f *Facts, steps []exec.Step, n int, lineSize uint64) int {
+	aggs := make([]*memAgg, n)
 	for i := range f.Mem {
-		mf := &f.Mem[i]
-		agg := it.facts[mf.Inst]
-		if agg == nil || !agg.allKnown {
+		aggs[f.Mem[i].Inst] = &memAgg{fact: &f.Mem[i], pages: map[uint64]struct{}{}}
+	}
+	splitInst := -1
+	for i := range steps {
+		for _, acc := range [2]*exec.MemAccess{steps[i].Load, steps[i].Store} {
+			if acc == nil {
+				continue
+			}
+			split := acc.Phys/lineSize != (acc.Phys+uint64(acc.Size)-1)/lineSize
+			if split && splitInst < 0 {
+				splitInst = i % n
+			}
+			if g := aggs[i%n]; g != nil {
+				g.add(acc, split)
+			}
+		}
+	}
+	for _, g := range aggs {
+		if g == nil || g.fact.Accesses == 0 {
 			continue
 		}
+		mf := g.fact
 		mf.Observed = true
-		mf.Accesses = agg.accesses
-		if agg.orAddrs == 0 {
-			mf.Align = 1 << 12
-		} else {
-			a := uint64(1) << uint(bits.TrailingZeros64(agg.orAddrs))
-			if a > 1<<12 {
-				a = 1 << 12
-			}
-			mf.Align = a
+		mf.Align = 1 << 12
+		if g.orAddrs != 0 {
+			mf.Align = min(uint64(1)<<bits.TrailingZeros64(g.orAddrs), 1<<12)
 		}
-		if agg.strideSet && agg.strideOK {
-			mf.Stride = agg.stride
-			mf.StrideKnown = true
+		mf.StrideKnown = mf.Accesses > 1 && g.strideOK
+		if !mf.StrideKnown {
+			mf.Stride = 0
 		}
-		mf.Pages = len(agg.pages)
-		mf.Splits = agg.splits
+		mf.Pages = len(g.pages)
 	}
+	return splitInst
 }

@@ -367,8 +367,8 @@ func (s *Suite) profileRange(cpu *uarch.CPU, opts profiler.Options, recs []corpu
 					met.RecordCrosscheckMismatch()
 					if n := s.crossMismatches.Add(1); n <= maxMismatchLines {
 						hexStr, _ := recs[i].Block.Hex()
-						s.progressf("[%s] crosscheck mismatch: %s static=%s(exact=%v) dynamic=%s\n",
-							cpu.Name, hexStr, rep.PredictedName, rep.Exact, r.Status)
+						s.progressf("[%s] crosscheck mismatch: %s static=%s dynamic=%s\n",
+							cpu.Name, hexStr, rep.PredictedName, r.Status)
 					}
 				}
 			}

@@ -363,13 +363,3 @@ func (m *Machine) buildItems(p *Program, steps []exec.Step) []pipeline.Item {
 	}
 	return items
 }
-
-// RegSets maps an instruction's register usage onto pipeline register ids:
-// 0–15 GPRs, 16–31 vector registers, 32 the flags. Results are memoized
-// process-wide; the returned slices are shared and read-only.
-func RegSets(in *x86.Inst) (addr, data, writes []uint8) {
-	return memo.RegSets(in)
-}
-
-// RegFlags re-exports the pipeline flags id for convenience.
-const RegFlags = pipeline.RegFlags

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bhive/internal/exec"
+	"bhive/internal/memo"
 	"bhive/internal/uarch"
 	"bhive/internal/vm"
 	"bhive/internal/x86"
@@ -344,15 +345,15 @@ func TestResetAndRemap(t *testing.T) {
 
 func TestRegSetsFlagsAndImplicits(t *testing.T) {
 	in, _ := x86.ParseInst("adc rax, rbx", x86.SyntaxIntel)
-	_, data, writes := RegSets(&in)
+	_, data, writes := memo.RegSets(&in)
 	hasFlagRead, hasFlagWrite := false, false
 	for _, r := range data {
-		if r == RegFlags {
+		if r == memo.RegFlags {
 			hasFlagRead = true
 		}
 	}
 	for _, r := range writes {
-		if r == RegFlags {
+		if r == memo.RegFlags {
 			hasFlagWrite = true
 		}
 	}
@@ -361,7 +362,7 @@ func TestRegSetsFlagsAndImplicits(t *testing.T) {
 	}
 
 	div, _ := x86.ParseInst("div ecx", x86.SyntaxIntel)
-	_, data, writes = RegSets(&div)
+	_, data, writes = memo.RegSets(&div)
 	found := map[uint8]bool{}
 	for _, r := range data {
 		found[r] = true
@@ -378,7 +379,7 @@ func TestRegSetsFlagsAndImplicits(t *testing.T) {
 	}
 
 	mem, _ := x86.ParseInst("mov rax, qword ptr [rbx+rcx*2]", x86.SyntaxIntel)
-	addr, _, _ := RegSets(&mem)
+	addr, _, _ := memo.RegSets(&mem)
 	if len(addr) != 2 {
 		t.Fatalf("addressing registers: %v", addr)
 	}

@@ -165,7 +165,7 @@ func Encode(in *x86.Inst) ([]byte, error) {
 }
 
 // RegFlags is the pipeline's status-flags register id (kept in sync with
-// pipeline.RegFlags by a test in internal/machine).
+// pipeline.RegFlags by TestRegFlagsMatchesPipeline).
 const RegFlags = 32
 
 // RegSets maps an instruction's register usage onto the pipeline register

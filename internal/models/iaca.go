@@ -3,7 +3,6 @@ package models
 import (
 	"hash/fnv"
 
-	"bhive/internal/machine"
 	"bhive/internal/memo"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
@@ -74,7 +73,7 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error)
 			elimMove:  d.EliminatedMove,
 			text:      in.String(),
 		}
-		si.addr, si.data, si.writes = machine.RegSets(in)
+		si.addr, si.data, si.writes = memo.RegSets(in)
 
 		for _, u := range d.Uops {
 			su := simUop{

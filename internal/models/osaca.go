@@ -216,7 +216,7 @@ func (m *OSACA) effStrength(c uarch.UopClass) float64 {
 	return m.opts.perturbStrength
 }
 
-// regUse mirrors machine.RegSets with the 33-register id space, kept local
+// regUse mirrors memo.RegSets with the 33-register id space, kept local
 // so OSACA's view stays self-contained.
 func regUse(in *x86.Inst) (addr, data, writes []uint8) {
 	id := func(r x86.Reg) (uint8, bool) {

@@ -12,9 +12,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 
+	"bhive/internal/atomicfile"
 	"bhive/internal/pipeline"
 )
 
@@ -147,30 +147,8 @@ func (c *Cache) Save() error {
 	if err != nil {
 		return fmt.Errorf("profcache: %w", err)
 	}
-	dir := filepath.Dir(c.path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := atomicfile.Write(c.path, ".profcache-*", raw); err != nil {
 		return fmt.Errorf("profcache: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, ".profcache-*")
-	if err != nil {
-		return fmt.Errorf("profcache: %w", err)
-	}
-	// Sync before rename: a crash right after Save must leave either the
-	// old file or the complete new one, never a short write behind the
-	// final name.
-	_, werr := tmp.Write(raw)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("profcache: writing %s: %v/%v/%v", c.path, werr, serr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("profcache: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return err
 	}
 	c.mu.Lock()
 	// Only what was in the snapshot is on disk. A Put that landed during
@@ -180,24 +158,5 @@ func (c *Cache) Save() error {
 		c.dirty = false
 	}
 	c.mu.Unlock()
-	return nil
-}
-
-// syncDir makes the just-renamed directory entry durable: rename alone
-// only updates the entry in memory, so a crash shortly after Save could
-// otherwise roll the whole cache file back to its previous contents.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("profcache: %w", err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("profcache: syncing %s: %w", dir, serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("profcache: %w", cerr)
-	}
 	return nil
 }

@@ -218,6 +218,11 @@ type scratch struct {
 	m     *machine.Machine
 	st    exec.State
 	insts []x86.Inst
+
+	// Page-fault monitor state of the current functional pass.
+	page    *vm.PhysPage
+	mapped  int
+	refused Refusal
 }
 
 func (p *Profiler) getScratch() *scratch {
@@ -364,6 +369,102 @@ func (p *Profiler) Profile(b *x86.Block) Result {
 	return res
 }
 
+// Refusal names why the page-fault monitor declined to repair a fault,
+// which leaves the block Crashed.
+type Refusal int
+
+const (
+	// RefusedNone: no fault was refused.
+	RefusedNone Refusal = iota
+	// RefusedNoMapping: page mapping is off (Options.MapPages).
+	RefusedNoMapping
+	// RefusedInvalid: the address is not a mappable user address.
+	RefusedInvalid
+	// RefusedBudget: Options.MaxFaults pages are already mapped.
+	RefusedBudget
+)
+
+// Pass is the outcome of the functional phase of the protocol: the block
+// prepared at the high unroll factor and executed once under the
+// page-fault monitor.
+type Pass struct {
+	// Status is StatusOK, StatusUnsupported (the µarch cannot run an
+	// instruction) or StatusCrashed (Prepare or execution failed).
+	Status Status
+	// Err is the failure behind a non-OK Status.
+	Err error
+	// Refused is why the monitor declined the fault behind Err, if one
+	// did.
+	Refused Refusal
+	// Steps is the dynamic trace: every step of the high-factor run, or
+	// the steps before the faulting one. The low factor's trace is its
+	// prefix.
+	Steps []exec.Step
+	// PagesMapped is how many virtual pages the monitor installed.
+	PagesMapped int
+
+	prog *machine.Program
+}
+
+// Functional runs only the functional phase of Profile on b (the same
+// call the measurement protocol makes, at the same unroll factor) and
+// passes its outcome to fn. The trace aliases profiler-owned buffers and
+// is valid only while fn runs. Static analyses (internal/blocklint) read
+// their verdicts from it, so they agree with the profiler by
+// construction.
+func (p *Profiler) Functional(b *x86.Block, fn func(*Pass)) {
+	if len(b.Insts) == 0 {
+		fn(&Pass{Status: StatusCrashed})
+		return
+	}
+	_, hi := p.Opts.UnrollFactors(len(b.Insts))
+	sc := p.getScratch()
+	defer p.pool.Put(sc)
+	ps := p.functional(sc, b.Insts, hi, blockSeed(b.Insts))
+	fn(&ps)
+}
+
+// functional prepares insts unrolled hi times on the scratch machine and
+// executes them in one monitored pass. The monitor repairs each fault and
+// resumes in place, so the trace is identical to a clean run's; execution
+// of a straight-line block is deterministic, so the low factor's trace is
+// its prefix. One pass therefore serves the warm-ups and every timing of
+// both factors. The chosen physical page is shared by both, exactly as
+// the page mapping itself is.
+func (p *Profiler) functional(sc *scratch, insts []x86.Inst, hi int, seed int64) Pass {
+	m := sc.machine(p.CPU, seed)
+	prog, err := m.PrepareUnrolled(sc.unrolled(insts, hi), len(insts))
+	if err != nil {
+		if _, ok := err.(*uarch.UnsupportedError); ok {
+			return Pass{Status: StatusUnsupported, Err: err}
+		}
+		return Pass{Status: StatusCrashed, Err: err}
+	}
+
+	sc.page, sc.mapped, sc.refused = nil, 0, RefusedNone
+	onFault := func(f *vm.Fault) bool {
+		switch {
+		case !p.Opts.MapPages:
+			sc.refused = RefusedNoMapping
+		case !vm.ValidUserAddress(f.Addr):
+			sc.refused = RefusedInvalid
+		case sc.mapped >= p.Opts.MaxFaults:
+			sc.refused = RefusedBudget
+		default:
+			m.AS.Map(f.Addr, p.pageFor(m, &sc.page))
+			sc.mapped++
+			return true
+		}
+		return false
+	}
+	steps, err := m.ExecuteMonitored(prog, p.resetState(&sc.st), onFault)
+	ps := Pass{Steps: steps, PagesMapped: sc.mapped, prog: prog}
+	if err != nil {
+		ps.Status, ps.Err, ps.Refused = StatusCrashed, err, sc.refused
+	}
+	return ps
+}
+
 // profile runs the measurement protocol, bypassing the persistent cache.
 func (p *Profiler) profile(b *x86.Block, seed int64) Result {
 	lo, hi := p.Opts.UnrollFactors(len(b.Insts))
@@ -372,38 +473,13 @@ func (p *Profiler) profile(b *x86.Block, seed int64) Result {
 	sc := p.getScratch()
 	defer p.pool.Put(sc)
 
-	// Prepare once at the high factor; the low-factor program is a prefix
-	// of the same prepared code, so it is derived by slicing.
-	m := sc.machine(p.CPU, seed)
-	prog, err := m.PrepareUnrolled(sc.unrolled(b.Insts, hi), len(b.Insts))
-	if err != nil {
-		if _, ok := err.(*uarch.UnsupportedError); ok {
-			return Result{Status: StatusUnsupported, Err: err, UnrollLo: lo, UnrollHi: hi}
-		}
-		return Result{Status: StatusCrashed, Err: err, UnrollLo: lo, UnrollHi: hi}
+	// Prepare and execute once at the high factor; the low factor's
+	// program and trace are prefixes of these, derived by slicing.
+	ps := p.functional(sc, b.Insts, hi, seed)
+	if ps.Status != StatusOK {
+		return Result{Status: ps.Status, Err: ps.Err, UnrollLo: lo, UnrollHi: hi}
 	}
-
-	// One monitored functional pass at the high factor maps every page the
-	// block touches and yields the dynamic trace. The monitor repairs each
-	// fault and resumes in place, so this trace is identical to a clean
-	// run's; execution of a straight-line block is deterministic, so the
-	// low factor's trace is its prefix. One pass therefore serves the
-	// warm-ups and every timing of both factors. The chosen physical page
-	// is shared by both, exactly as the page mapping itself is.
-	var thePage *vm.PhysPage
-	pagesMapped := 0
-	onFault := func(f *vm.Fault) bool {
-		if !p.Opts.MapPages || !vm.ValidUserAddress(f.Addr) || pagesMapped >= p.Opts.MaxFaults {
-			return false
-		}
-		m.AS.Map(f.Addr, p.pageFor(m, &thePage))
-		pagesMapped++
-		return true
-	}
-	steps, err := m.ExecuteMonitored(prog, p.resetState(&sc.st), onFault)
-	if err != nil {
-		return Result{Status: StatusCrashed, Err: err, UnrollLo: lo, UnrollHi: hi}
-	}
+	m, prog, steps, pagesMapped := sc.m, ps.prog, ps.Steps, ps.PagesMapped
 
 	// The µop dependence graph is likewise built once; the low factor's
 	// graph is a prefix view of it.

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bhive/internal/atomicfile"
 )
 
 // TestWriteFileAtomicDirSync pins the durability discipline of the
@@ -21,11 +23,11 @@ func TestWriteFileAtomicDirSync(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "result.json")
 
-	before := dirSyncs.Load()
+	before := atomicfile.DirSyncs()
 	if err := writeFileAtomic(path, []byte(`{"ok":true}`)); err != nil {
 		t.Fatal(err)
 	}
-	if got := dirSyncs.Load(); got != before+1 {
+	if got := atomicfile.DirSyncs(); got != before+1 {
 		t.Fatalf("dir syncs %d -> %d, want exactly one directory sync after the rename", before, got)
 	}
 	raw, err := os.ReadFile(path)
@@ -51,7 +53,7 @@ func TestWriteFileAtomicDirSync(t *testing.T) {
 	if err := writeFileAtomic(path, []byte(`{"ok":false}`)); err != nil {
 		t.Fatal(err)
 	}
-	if got := dirSyncs.Load(); got != before+2 {
+	if got := atomicfile.DirSyncs(); got != before+2 {
 		t.Fatalf("overwrite did not sync the directory (syncs %d, want %d)", got, before+2)
 	}
 }
