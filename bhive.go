@@ -137,8 +137,8 @@ func ProfileWith(arch string, b *Block, opts Options) (Result, error) {
 // it predicts the profiling status from the profiler's functional pass,
 // without timing, and reports per-block diagnostics and facts. A
 // rejected report (non-OK prediction) is a guarantee — the dynamic
-// protocol cannot accept the block — which is what makes prescreening
-// safe.
+// protocol cannot accept the block — because the verdict is read from the
+// same functional pass Profile runs.
 func Lint(arch string, b *Block, opts Options) (*LintReport, error) {
 	cpu, err := uarch.ByName(arch)
 	if err != nil {

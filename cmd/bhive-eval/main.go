@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		ckptF     = fs.String("checkpoint", "", "shard checkpoint journal (created if absent; an interrupted run resumes from it)")
 		fsyncN    = fs.Int("fsync-every", 1, "fsync the checkpoint once per N shards (group commit; a crash loses at most the last N-1 shards)")
 		progress  = fs.Bool("progress", false, "print per-shard progress lines (blocks/s, cache-hit rate, rejects) to stderr")
-		prescreen = fs.Bool("prescreen", false, "statically reject blocks before profiling (skips counted as prescreened=N)")
 		crosschk  = fs.Bool("crosscheck", false, "validate dynamic reject statuses against static predictions (mismatches to -progress)")
 		backends  = fs.String("backend", "", "comma-separated measurement backends to cross-validate (sim, perturbed, recorded:<path>); implies -exp xval")
 		recordF   = fs.String("record", "", "record every measurement to a replayable trace at this path (requires exactly one -backend)")
@@ -99,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	cfg.ShardSize = *shardSize
 	cfg.CheckpointPath = *ckptF
 	cfg.FsyncEvery = *fsyncN
-	cfg.Prescreen = *prescreen
 	cfg.Crosscheck = *crosschk
 	cfg.StopAfterShards = *stopAfter
 	if *progress {

@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		naive     = fs.Bool("naive-unroll", false, "time a single 100x unroll instead of the derived method")
 		keepSub   = fs.Bool("keep-subnormals", false, "do not set MXCSR FTZ/DAZ")
 		noFilter  = fs.Bool("no-misaligned-filter", false, "accept measurements with line-splitting accesses")
-		prescreen = fs.Bool("prescreen", false, "statically analyze first and skip the measurement if the block is rejected")
 		runModels = fs.Bool("models", false, "also print the analytical models' predictions")
 		report    = fs.Bool("report", false, "print an IACA-style port-pressure report")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -102,22 +101,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	if *noFilter {
 		opts.FilterMisaligned = false
-	}
-
-	if *prescreen {
-		rep, lerr := bhive.Lint(*arch, block, opts)
-		if lerr != nil {
-			return lerr
-		}
-		if rep.Rejected() {
-			fmt.Fprintf(stdout, "uarch:       %s\n", *arch)
-			fmt.Fprintf(stdout, "block:       %d instructions\n", len(block.Insts))
-			fmt.Fprintf(stdout, "status:      %s (statically rejected; measurement skipped)\n", rep.PredictedName)
-			for _, d := range rep.Diags {
-				fmt.Fprintf(stdout, "diag:        %s\n", d)
-			}
-			return nil
-		}
 	}
 
 	res, err := bhive.ProfileWith(*arch, block, opts)

@@ -13,9 +13,8 @@
 // pipeline's line-split rule. The low unroll factor's run is a prefix of
 // the high factor's, so it needs no pass of its own. A non-OK prediction
 // is therefore a guarantee (up to the timing-only preemptions whitelisted
-// by Report.Agrees), which is what makes the -prescreen mode of
-// bhive-eval/bhive-profile safe: skipping a statically rejected block
-// never discards a measurable one.
+// by Report.Agrees); bhive-eval -crosscheck checks that agreement on every
+// profiled block.
 //
 // Every finding carries a machine-readable diagnostic code (BL001…); the
 // catalogue is in DESIGN.md § Static block analysis.
@@ -178,7 +177,7 @@ type Report struct {
 
 // Rejected reports whether the block is statically rejected: the
 // prediction is a non-OK status, which the analyzer only emits when it is
-// guaranteed. Prescreening skips exactly these blocks.
+// guaranteed. bhive-lint counts exactly these blocks as rejected.
 func (r *Report) Rejected() bool { return r.Predicted != profiler.StatusOK }
 
 // Agrees reports whether a dynamic profiling status is consistent with

@@ -269,11 +269,11 @@ func TestAgreementCorpus(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("empty corpus")
 	}
-	prescreened := 0
+	rejected := 0
 	for _, rec := range recs {
 		rep := a.Analyze(rec.Block)
 		if rep.Rejected() {
-			prescreened++
+			rejected++
 		}
 		res := p.Profile(rec.Block)
 		if !rep.Agrees(res.Status) {
@@ -282,7 +282,7 @@ func TestAgreementCorpus(t *testing.T) {
 				rec.App, hexStr, rep.Predicted, res.Status, rep.Diags)
 		}
 	}
-	t.Logf("%d blocks, %d statically rejected", len(recs), prescreened)
+	t.Logf("%d blocks, %d statically rejected", len(recs), rejected)
 }
 
 func TestDiagRendering(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bhive/internal/harness"
 )
 
 // fakeClock is a mutex-guarded manual clock for deterministic expiry.
@@ -350,15 +352,15 @@ func TestNaNFloatRoundTrip(t *testing.T) {
 		"m1": {1.5, math.NaN(), 3},
 		"m2": {math.NaN()},
 	}
-	raw, err := json.Marshal(ToNaNFloats(in))
+	raw, err := json.Marshal(harness.ToNaNFloats(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dec map[string][]NaNFloat
+	var dec map[string][]harness.NaNFloat
 	if err := json.Unmarshal(raw, &dec); err != nil {
 		t.Fatal(err)
 	}
-	out := FromNaNFloats(dec)
+	out := harness.FromNaNFloats(dec)
 	for name, vs := range in {
 		for i, v := range vs {
 			got := out[name][i]

@@ -29,3 +29,35 @@ func TestTable5Golden(t *testing.T) {
 		t.Fatalf("Table V diverged from the recorded output.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
+
+// TestTable12Golden pins the Table I and Table II ablations (seed 7, scale
+// 0.02). Both run through Profiler.MeasureRaw, so the golden holds the
+// raw-measurement path to the profiler's own functional pass and page
+// budget.
+func TestTable12Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates Tables I and II at scale 0.02 (several seconds)")
+	}
+	const path = "testdata/table12_seed7_scale002.golden"
+	s := New(DefaultConfig())
+	var got string
+	for _, id := range []string{"table1", "table2"} {
+		out, err := s.Run(id, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += out
+	}
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("Tables I/II diverged from the recorded output.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}

@@ -109,17 +109,10 @@ type Config struct {
 	// run is in progress — the evaluation server polls it for job status.
 	Metrics *profiler.Metrics
 
-	// Prescreen runs the static block analyzer (internal/blocklint) over
-	// every record before profiling and skips statically rejected blocks:
-	// the predicted status is recorded without running the measurement
-	// protocol, and the skip is counted in the metrics ("prescreened=N" in
-	// the progress lines). Sound because the analyzer only rejects when
-	// the rejection is guaranteed.
-	Prescreen bool
-	// Crosscheck profiles every non-prescreened record normally and also
-	// runs the static analyzer, counting blocks whose dynamic status
-	// disagrees with the static prediction outside the whitelisted cases
-	// (see blocklint.Report.Agrees). Disagreements are surfaced in the
+	// Crosscheck profiles every record normally and also runs the static
+	// analyzer, counting blocks whose dynamic status disagrees with the
+	// static prediction outside the whitelisted cases (see
+	// blocklint.Report.Agrees). Disagreements are surfaced in the
 	// progress stream and in the metrics ("cross-mismatch=N").
 	Crosscheck bool
 
@@ -329,12 +322,11 @@ func (s *Suite) shardBounds(si, n int) (lo, hi int) {
 const maxMismatchLines = 20
 
 // profileRange profiles recs into out (parallel index-aligned slices)
-// under the given options, feeding met. With Config.Prescreen, statically
-// rejected blocks are skipped; with Config.Crosscheck, dynamic statuses
-// are validated against the static predictions.
+// under the given options, feeding met. With Config.Crosscheck, dynamic
+// statuses are validated against the static predictions.
 func (s *Suite) profileRange(cpu *uarch.CPU, opts profiler.Options, recs []corpus.Record, out []measurement, met *profiler.Metrics) {
 	var lint *blocklint.Analyzer
-	if s.cfg.Prescreen || s.cfg.Crosscheck {
+	if s.cfg.Crosscheck {
 		lint = blocklint.New(cpu, opts)
 	}
 	var wg sync.WaitGroup
@@ -351,19 +343,13 @@ func (s *Suite) profileRange(cpu *uarch.CPU, opts profiler.Options, recs []corpu
 			p.Cache = s.cfg.ProfileCache
 			p.Metrics = met
 			for i := range ch {
-				var rep *blocklint.Report
-				if lint != nil {
-					rep = lint.Analyze(recs[i].Block)
-					if s.cfg.Prescreen && rep.Rejected() {
-						out[i] = measurement{tp: 0, status: rep.Predicted}
-						met.RecordPrescreened(rep.Predicted)
-						continue
-					}
-				}
 				r := p.Profile(recs[i].Block)
 				out[i] = measurement{tp: r.Throughput, status: r.Status}
 				s.profileCalls.Add(1)
-				if s.cfg.Crosscheck && rep != nil && !rep.Agrees(r.Status) {
+				if lint == nil {
+					continue
+				}
+				if rep := lint.Analyze(recs[i].Block); !rep.Agrees(r.Status) {
 					met.RecordCrosscheckMismatch()
 					if n := s.crossMismatches.Add(1); n <= maxMismatchLines {
 						hexStr, _ := recs[i].Block.Hex()

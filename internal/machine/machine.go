@@ -28,9 +28,6 @@ type Machine struct {
 	// Rand drives context-switch arrivals in noisy timing mode.
 	Rand *rand.Rand
 
-	codeFrames []*vm.PhysPage // frames backing the code mapping
-	codeLen    int
-
 	// Scratch buffers recycled across Prepare/Execute/Time calls.
 	trace []exec.Step
 	acc   []exec.MemAccess
@@ -59,8 +56,6 @@ func (m *Machine) ResetMemory() {
 		m.L1I.Reset()
 		m.L1D.Reset()
 	}
-	m.codeFrames = m.codeFrames[:0]
-	m.codeLen = 0
 }
 
 // Reset returns the machine to the state a fresh New would produce,
@@ -221,20 +216,10 @@ func (m *Machine) PrepareUnrolled(insts []x86.Inst, n int) (*Program, error) {
 
 // mapCode installs the code bytes at CodeBase on dedicated frames.
 func (m *Machine) mapCode(code []byte) {
-	m.codeFrames = m.codeFrames[:0]
-	m.codeLen = len(code)
 	for off := 0; off < len(code) || off == 0; off += vm.PageSize {
 		frame := m.AS.NewPhysPage()
 		copy(frame.Data[:], code[off:])
 		m.AS.Map(CodeBase+uint64(off), frame)
-		m.codeFrames = append(m.codeFrames, frame)
-	}
-}
-
-// RemapCode restores the code mapping after UnmapAll.
-func (m *Machine) RemapCode() {
-	for i, frame := range m.codeFrames {
-		m.AS.Map(CodeBase+uint64(i*vm.PageSize), frame)
 	}
 }
 

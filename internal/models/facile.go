@@ -35,9 +35,3 @@ func (f *Facile) Predict(b *x86.Block) (float64, error) {
 	}
 	return bs.Lower, nil
 }
-
-// Explain returns the full bound analysis behind a prediction (the
-// bottleneck verdict and the individual terms).
-func (f *Facile) Explain(b *x86.Block) (*bound.Bounds, error) {
-	return bound.Analyze(f.cpu, b)
-}

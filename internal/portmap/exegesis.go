@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"bhive/internal/exec"
-	"bhive/internal/machine"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
 )
@@ -93,42 +91,17 @@ func LatencyChain(template x86.Inst, n int) ([]x86.Inst, error) {
 }
 
 // runCycles measures the steady-state cycles of an instruction sequence by
-// the derived two-unroll method on a fresh machine.
+// the derived two-unroll method.
 func runCycles(cpu *uarch.CPU, insts []x86.Inst, unroll int) (float64, error) {
-	measure := func(u int) (uint64, error) {
-		m := machine.New(cpu, 3)
-		var seq []x86.Inst
-		for i := 0; i < u; i++ {
-			seq = append(seq, insts...)
-		}
-		prog, err := m.Prepare(seq)
-		if err != nil {
-			return 0, err
-		}
-		st := &exec.State{FTZ: true, DAZ: true}
-		st.InitRegisters(0x12345600)
-		steps, err := m.Execute(prog, st)
-		if err != nil {
-			return 0, err
-		}
-		m.Time(prog, steps, machine.Config{})
-		st2 := &exec.State{FTZ: true, DAZ: true}
-		st2.InitRegisters(0x12345600)
-		steps, err = m.Execute(prog, st2)
-		if err != nil {
-			return 0, err
-		}
-		return m.Time(prog, steps, machine.Config{}).Cycles, nil
-	}
-	c1, err := measure(unroll)
+	c1, err := measure(cpu, insts, unroll)
 	if err != nil {
 		return 0, err
 	}
-	c2, err := measure(2 * unroll)
+	c2, err := measure(cpu, insts, 2*unroll)
 	if err != nil {
 		return 0, err
 	}
-	return float64(c2-c1) / float64(unroll), nil
+	return float64(c2.Cycles-c1.Cycles) / float64(unroll), nil
 }
 
 // MeasureLatency measures the template's dependency-chain latency in

@@ -13,8 +13,8 @@ package portmap
 import (
 	"fmt"
 
-	"bhive/internal/exec"
-	"bhive/internal/machine"
+	"bhive/internal/pipeline"
+	"bhive/internal/profiler"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
 )
@@ -88,30 +88,10 @@ func Infer(cpu *uarch.CPU, template x86.Inst) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var insts []x86.Inst
-	for i := 0; i < unroll; i++ {
-		insts = append(insts, bench...)
-	}
-
-	m := machine.New(cpu, 99)
-	prog, err := m.Prepare(insts)
+	ctr, err := measure(cpu, bench, unroll)
 	if err != nil {
 		return Result{}, err
 	}
-	st := &exec.State{FTZ: true, DAZ: true}
-	st.InitRegisters(0x12345600)
-	steps, err := m.Execute(prog, st)
-	if err != nil {
-		return Result{}, err
-	}
-	m.Time(prog, steps, machine.Config{}) // warm-up
-	st2 := &exec.State{FTZ: true, DAZ: true}
-	st2.InitRegisters(0x12345600)
-	steps, err = m.Execute(prog, st2)
-	if err != nil {
-		return Result{}, err
-	}
-	ctr := m.Time(prog, steps, machine.Config{})
 
 	var total uint64
 	for _, c := range ctr.PortUops {
@@ -132,7 +112,17 @@ func Infer(cpu *uarch.CPU, template x86.Inst) (Result, error) {
 	}
 	return Result{
 		Ports:   ports,
-		UopsPer: float64(ctr.Uops) / float64(len(insts)),
+		UopsPer: float64(ctr.Uops) / float64(len(bench)*unroll),
 		PerPort: ctr.PortUops,
 	}, nil
+}
+
+// measure times insts unrolled unroll times through the profiler's raw
+// measurement (its functional pass, a warm-up and the timed run) under the
+// full methodology with page mapping off: the micro-benchmarks are
+// register-only, so a memory access is an error rather than a page to map.
+func measure(cpu *uarch.CPU, insts []x86.Inst, unroll int) (pipeline.Counters, error) {
+	opts := profiler.DefaultOptions()
+	opts.MapPages = false
+	return profiler.New(cpu, opts).MeasureRaw(&x86.Block{Insts: insts}, unroll)
 }

@@ -18,17 +18,16 @@ const NumStatus = len(statusNames)
 // progress lines are derived from Snapshot deltas. All counters are
 // atomic; a nil *Metrics is a valid no-op sink.
 type Metrics struct {
-	cacheHits   atomic.Uint64
-	profiled    atomic.Uint64
-	prescreened atomic.Uint64
-	crossMism   atomic.Uint64
-	status      [NumStatus]atomic.Uint64
+	cacheHits atomic.Uint64
+	profiled  atomic.Uint64
+	crossMism atomic.Uint64
+	status    [NumStatus]atomic.Uint64
 
 	// planned is the number of block outcomes registered as upcoming work
 	// (AddPlanned); startNanos is the wall time of the first recorded
 	// outcome (0 = none yet). Together they drive Throughput's ETA.
 	// measStartNanos is the wall time of the first *measured* outcome —
-	// cache hits and prescreens are near-instant, so the ETA for work that
+	// cache hits are near-instant, so the ETA for work that
 	// still has to be measured must come from the measured rate alone, not
 	// the hit-inflated overall rate.
 	planned        atomic.Uint64
@@ -65,7 +64,7 @@ func (m *Metrics) AddPlanned(n int) {
 }
 
 // Rate is a Throughput report: the overall processing rate (every
-// outcome, cache hits and prescreens included), the measured-only rate
+// outcome, cache hits included), the measured-only rate
 // (zero until a block is actually measured), and the ETA for the planned
 // work remaining.
 type Rate struct {
@@ -85,7 +84,7 @@ type Rate struct {
 // nil receiver).
 //
 // The ETA is derived from the measured-only rate once any block has been
-// measured: cache hits and prescreens complete in microseconds, so a
+// measured: cache hits complete in microseconds, so a
 // warm-cache resume that replays thousands of hits would otherwise report
 // a wildly optimistic ETA for the cold blocks still waiting on the
 // measurement protocol. Only when the run has measured nothing (fully
@@ -139,21 +138,6 @@ func (m *Metrics) record(s Status, hit bool) {
 	}
 }
 
-// RecordPrescreened accounts one block that static analysis rejected
-// before profiling: the predicted status lands in the histogram like a
-// dynamic outcome, and the Prescreened counter records that no
-// measurement ran for it.
-func (m *Metrics) RecordPrescreened(s Status) {
-	if m == nil {
-		return
-	}
-	m.markStart()
-	m.prescreened.Add(1)
-	if int(s) < NumStatus {
-		m.status[s].Add(1)
-	}
-}
-
 // RecordCrosscheckMismatch accounts one block whose dynamic status
 // disagreed with the static prediction outside the whitelisted cases.
 func (m *Metrics) RecordCrosscheckMismatch() {
@@ -170,15 +154,12 @@ type Snapshot struct {
 	CacheHits uint64
 	// Profiled counts blocks that went through the measurement protocol.
 	Profiled uint64
-	// Prescreened counts blocks skipped by static prescreening before any
-	// measurement ran (their predicted statuses are in ByStatus).
-	Prescreened uint64
 	// CrosscheckMismatch counts blocks whose dynamic status disagreed
 	// with the static prediction outside the whitelisted cases.
 	CrosscheckMismatch uint64
 	// ByStatus histograms the outcome of every Profile call, indexed by
 	// Status (cache hits included — a cached rejection is still a
-	// rejection; prescreened blocks contribute their predicted status).
+	// rejection).
 	ByStatus [NumStatus]uint64
 }
 
@@ -190,7 +171,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	s.CacheHits = m.cacheHits.Load()
 	s.Profiled = m.profiled.Load()
-	s.Prescreened = m.prescreened.Load()
 	s.CrosscheckMismatch = m.crossMism.Load()
 	for i := range s.ByStatus {
 		s.ByStatus[i] = m.status[i].Load()
@@ -203,7 +183,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d := Snapshot{
 		CacheHits:          s.CacheHits - prev.CacheHits,
 		Profiled:           s.Profiled - prev.Profiled,
-		Prescreened:        s.Prescreened - prev.Prescreened,
 		CrosscheckMismatch: s.CrosscheckMismatch - prev.CrosscheckMismatch,
 	}
 	for i := range s.ByStatus {
@@ -212,9 +191,8 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	return d
 }
 
-// Total is the number of blocks covered by the snapshot, including the
-// statically prescreened ones that never reached the protocol.
-func (s Snapshot) Total() uint64 { return s.CacheHits + s.Profiled + s.Prescreened }
+// Total is the number of blocks covered by the snapshot.
+func (s Snapshot) Total() uint64 { return s.CacheHits + s.Profiled }
 
 // HitRate is the persistent-cache hit fraction (0 with no calls).
 func (s Snapshot) HitRate() float64 {
@@ -225,8 +203,8 @@ func (s Snapshot) HitRate() float64 {
 }
 
 // RejectHistogram renders the non-OK statuses as "crashed=3 unstable=1"
-// ("none" if every call succeeded), with prescreen skips and cross-check
-// mismatches appended when present ("... prescreened=5 cross-mismatch=1").
+// ("none" if every call succeeded), with cross-check mismatches appended
+// when present ("... cross-mismatch=1").
 func (s Snapshot) RejectHistogram() string {
 	var sb strings.Builder
 	for i, n := range s.ByStatus {
@@ -237,15 +215,6 @@ func (s Snapshot) RejectHistogram() string {
 			sb.WriteByte(' ')
 		}
 		fmt.Fprintf(&sb, "%s=%d", Status(i), n)
-	}
-	if sb.Len() == 0 && s.Prescreened == 0 && s.CrosscheckMismatch == 0 {
-		return "none"
-	}
-	if s.Prescreened > 0 {
-		if sb.Len() > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "prescreened=%d", s.Prescreened)
 	}
 	if s.CrosscheckMismatch > 0 {
 		if sb.Len() > 0 {

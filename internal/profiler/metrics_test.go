@@ -53,7 +53,6 @@ func TestMetricsCountsAndHistogram(t *testing.T) {
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
 	m.record(StatusOK, false) // must not panic
-	m.RecordPrescreened(StatusCrashed)
 	m.RecordCrosscheckMismatch()
 	s := m.Snapshot()
 	if s.Total() != 0 || s.HitRate() != 0 {
@@ -64,44 +63,39 @@ func TestMetricsNilSafe(t *testing.T) {
 	}
 }
 
-func TestMetricsPrescreenAndCrosscheck(t *testing.T) {
+func TestMetricsCrosscheck(t *testing.T) {
 	m := new(Metrics)
 	m.record(StatusOK, false)
-	m.RecordPrescreened(StatusCrashed)
-	m.RecordPrescreened(StatusMisaligned)
+	m.record(StatusMisaligned, false)
 	m.RecordCrosscheckMismatch()
 
 	s := m.Snapshot()
-	if s.Prescreened != 2 || s.CrosscheckMismatch != 1 {
-		t.Fatalf("prescreened=%d mismatch=%d, want 2/1", s.Prescreened, s.CrosscheckMismatch)
+	if s.CrosscheckMismatch != 1 {
+		t.Fatalf("mismatch=%d, want 1", s.CrosscheckMismatch)
 	}
-	// Prescreened blocks count toward Total and land their predicted
-	// status in the histogram like a dynamic outcome.
-	if s.Total() != 3 {
-		t.Fatalf("total %d, want 3 (1 profiled + 2 prescreened)", s.Total())
-	}
-	if s.ByStatus[StatusCrashed] != 1 || s.ByStatus[StatusMisaligned] != 1 {
-		t.Fatalf("status histogram %v", s.ByStatus)
+	// A mismatch annotates a block already counted; it adds no outcome.
+	if s.Total() != 2 {
+		t.Fatalf("total %d, want 2", s.Total())
 	}
 	h := s.RejectHistogram()
-	for _, want := range []string{"crashed=1", "misaligned=1", "prescreened=2", "cross-mismatch=1"} {
+	for _, want := range []string{"misaligned=1", "cross-mismatch=1"} {
 		if !strings.Contains(h, want) {
 			t.Fatalf("reject histogram %q missing %q", h, want)
 		}
 	}
 
-	// Deltas preserve the new counters.
-	m.RecordPrescreened(StatusCrashed)
+	// Deltas preserve the counter.
+	m.RecordCrosscheckMismatch()
 	d := m.Snapshot().Sub(s)
-	if d.Prescreened != 1 || d.Total() != 1 || d.CrosscheckMismatch != 0 {
+	if d.CrosscheckMismatch != 1 || d.Total() != 0 {
 		t.Fatalf("delta %+v", d)
 	}
 
-	// A snapshot with only prescreen skips still renders them.
+	// A snapshot with only mismatches still renders them.
 	var only Metrics
-	only.RecordPrescreened(StatusCrashed)
-	if h := only.Snapshot().RejectHistogram(); !strings.Contains(h, "prescreened=1") {
-		t.Fatalf("prescreen-only histogram %q", h)
+	only.RecordCrosscheckMismatch()
+	if h := only.Snapshot().RejectHistogram(); h != "cross-mismatch=1" {
+		t.Fatalf("mismatch-only histogram %q", h)
 	}
 }
 

@@ -639,41 +639,24 @@ func (p *Profiler) measureOn(m *machine.Machine, prog *machine.Program, g *pipel
 
 // MeasureRaw times one unrolled program without any acceptance filtering
 // and returns the raw counters — used by the per-block ablation study
-// (Table II), where even broken configurations report a number.
+// (Table II), where even broken configurations report a number, and by the
+// portmap micro-benchmarks. It runs the protocol's functional pass at the
+// given unroll factor, then a warm-up timing and the timed run.
 func (p *Profiler) MeasureRaw(b *x86.Block, unroll int) (pipeline.Counters, error) {
-	o := &p.Opts
-	seed := blockSeed(b.Insts)
-
 	sc := p.getScratch()
 	defer p.pool.Put(sc)
 
-	m := sc.machine(p.CPU, unrollSeed(seed, unroll))
-	prog, err := m.PrepareUnrolled(sc.unrolled(b.Insts, unroll), len(b.Insts))
-	if err != nil {
-		return pipeline.Counters{}, err
+	ps := p.functional(sc, b.Insts, unroll, blockSeed(b.Insts))
+	if ps.Status != StatusOK {
+		return pipeline.Counters{}, ps.Err
 	}
-
-	var thePage *vm.PhysPage
-	mapped := 0
-	onFault := func(f *vm.Fault) bool {
-		if !o.MapPages || !vm.ValidUserAddress(f.Addr) || mapped > o.MaxFaults {
-			return false
-		}
-		m.AS.Map(f.Addr, p.pageFor(m, &thePage))
-		mapped++
-		return true
-	}
-	steps, err := m.ExecuteMonitored(prog, p.resetState(&sc.st), onFault)
-	if err != nil {
-		return pipeline.Counters{}, err
-	}
-	g := m.PrepareGraph(prog, steps)
-	base := machine.Config{ModeledFrontEnd: o.ModeledFrontEnd}
-	if o.ModeledFrontEnd {
+	g := sc.m.PrepareGraph(ps.prog, ps.Steps)
+	base := machine.Config{ModeledFrontEnd: p.Opts.ModeledFrontEnd}
+	if p.Opts.ModeledFrontEnd {
 		base.LoopBody = len(b.Insts)
 	}
-	m.TimeGraph(g, base) // warm-up
-	return m.TimeGraph(g, base), nil
+	sc.m.TimeGraph(g, base) // warm-up
+	return sc.m.TimeGraph(g, base), nil
 }
 
 // entryFromResult converts a Result for persistence. The error is stored

@@ -280,6 +280,30 @@ func TestMeasureRaw(t *testing.T) {
 	}
 }
 
+// TestMeasureRawPageBudget pins that raw measurement and the protocol
+// share one page budget: a block touching MaxFaults+1 distinct pages
+// crashes both, and one more page of budget lets both through.
+func TestMeasureRawPageBudget(t *testing.T) {
+	b := block(t, "mov rcx, qword ptr [rax]\nmov rdx, qword ptr [rax+0x1000]\nmov rsi, qword ptr [rax+0x2000]")
+	opts := DefaultOptions()
+	opts.MaxFaults = 2
+	p := New(uarch.Haswell(), opts)
+	if r := p.Profile(b); r.Status != StatusCrashed {
+		t.Fatalf("Profile over budget: %v, want crashed", r.Status)
+	}
+	if _, err := p.MeasureRaw(b, 8); err == nil {
+		t.Fatal("MeasureRaw over budget must fail like Profile")
+	}
+	opts.MaxFaults = 3
+	p = New(uarch.Haswell(), opts)
+	if r := p.Profile(b); r.Status != StatusOK || r.PagesMapped != 3 {
+		t.Fatalf("Profile within budget: %v, %d pages", r.Status, r.PagesMapped)
+	}
+	if _, err := p.MeasureRaw(b, 8); err != nil {
+		t.Fatalf("MeasureRaw within budget: %v", err)
+	}
+}
+
 func TestEmptyBlockProfile(t *testing.T) {
 	p := New(uarch.Haswell(), DefaultOptions())
 	if r := p.Profile(&x86.Block{}); r.Status != StatusCrashed {

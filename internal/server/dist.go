@@ -262,7 +262,7 @@ func (f *fillState) sink(res *dist.ShardResult) error {
 	if len(res.Tp) != n || len(res.Status) != n {
 		return fmt.Errorf("server: shard %s/%d payload covers %d records, want %d", arch, si, len(res.Tp), n)
 	}
-	preds := dist.FromNaNFloats(res.Preds)
+	preds := harness.FromNaNFloats(res.Preds)
 	for _, name := range f.names[arch] {
 		if len(preds[name]) != n {
 			return fmt.Errorf("server: shard %s/%d payload missing model %q", arch, si, name)

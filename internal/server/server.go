@@ -746,7 +746,6 @@ func writeFileAtomic(path string, raw []byte) error {
 type MetricsStatus struct {
 	CacheHits          uint64            `json:"cache_hits"`
 	Profiled           uint64            `json:"profiled"`
-	Prescreened        uint64            `json:"prescreened,omitempty"`
 	CrosscheckMismatch uint64            `json:"crosscheck_mismatch,omitempty"`
 	ByStatus           map[string]uint64 `json:"by_status,omitempty"`
 	// BlocksPerSec is the job's overall processing rate since its first
@@ -765,7 +764,6 @@ func metricsStatus(m *profiler.Metrics) *MetricsStatus {
 	ms := &MetricsStatus{
 		CacheHits:          snap.CacheHits,
 		Profiled:           snap.Profiled,
-		Prescreened:        snap.Prescreened,
 		CrosscheckMismatch: snap.CrosscheckMismatch,
 	}
 	if r, ok := m.Throughput(); ok {

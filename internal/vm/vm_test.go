@@ -110,13 +110,3 @@ func TestValidUserAddress(t *testing.T) {
 		}
 	}
 }
-
-func TestUnmapAll(t *testing.T) {
-	as := New()
-	as.Map(0x10000, as.NewPhysPage())
-	as.Map(0x20000, as.NewPhysPage())
-	as.UnmapAll()
-	if as.NumMappings() != 0 {
-		t.Fatal("unmap all")
-	}
-}
