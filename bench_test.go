@@ -337,6 +337,19 @@ func BenchmarkPredictIACA(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictLLVMMCA covers the fused load+op shape: llvm-mca folds
+// each load into its consumer, so its graph differs from IACA's.
+func BenchmarkPredictLLVMMCA(b *testing.B) {
+	block, _ := x86.ParseBlock(harness.CRCBlockText, x86.SyntaxATT)
+	m := models.NewLLVMMCA(uarch.Haswell())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Predict(block); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPredictIthemal(b *testing.B) {
 	block, _ := x86.ParseBlock(harness.CRCBlockText, x86.SyntaxATT)
 	m := ithemal.New(32, 64, 1)

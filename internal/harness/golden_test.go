@@ -61,3 +61,35 @@ func TestTable12Golden(t *testing.T) {
 		t.Fatalf("Tables I/II diverged from the recorded output.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
+
+// TestModelsGolden pins the model-only outputs (seed 7, scale 0.02): the
+// case-study predictions, the predicted schedules of the scheduling figure
+// and Table VI. Table V pins the models' Predict over a corpus; this golden
+// also pins their Schedule traces.
+func TestModelsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates the model experiments at scale 0.02 (several seconds)")
+	}
+	const path = "testdata/models_seed7_scale002.golden"
+	s := New(DefaultConfig())
+	var got string
+	for _, id := range []string{"case-study", "fig-scheduling", "table6"} {
+		out, err := s.Run(id, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += out
+	}
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("model experiments diverged from the recorded output.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}

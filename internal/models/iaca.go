@@ -47,6 +47,9 @@ func isVecClass(c uarch.UopClass) bool {
 func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error) {
 	div64 := divReference(cpu)
 	out := make([]simInst, 0, len(b.Insts))
+	// One backing array holds every instruction's µops; an instruction's
+	// slice stays valid if a later append moves the array.
+	uops := make([]simUop, 0, 2*len(b.Insts)+4)
 	for i := range b.Insts {
 		in := &b.Insts[i]
 		var (
@@ -71,16 +74,16 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error)
 			fused:     d.FusedUops,
 			zeroIdiom: d.ZeroIdiom,
 			elimMove:  d.EliminatedMove,
-			text:      in.String(),
 		}
 		si.addr, si.data, si.writes = memo.RegSets(in)
 
+		lo := len(uops)
 		for _, u := range d.Uops {
 			su := simUop{
 				ports: u.Ports,
 				lat:   int(u.Lat),
 				occ:   int(u.Occupancy),
-				name:  u.Class.String(),
+				class: u.Class,
 			}
 			switch u.Class {
 			case uarch.ClassLoad:
@@ -112,12 +115,13 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error)
 				}
 				su.lat = int(perturb(uint8(su.lat), in.Op, o.salt, prob, strength))
 			}
-			si.uops = append(si.uops, su)
+			uops = append(uops, su)
 		}
 
 		if o.fuseLoads {
-			si.uops = fuseLoadUops(si.uops)
+			uops = uops[:lo+len(fuseLoadUops(uops[lo:]))]
 		}
+		si.uops = uops[lo:len(uops):len(uops)]
 		out = append(out, si)
 	}
 	if len(out) == 0 {
@@ -126,10 +130,19 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error)
 	return out, nil
 }
 
-// fuseLoadUops merges a load µop into the first computation µop: the fused
-// unit inherits the sum of latencies and, because it is no longer a load,
-// waits for every input register — the scheduling mistake the paper's last
-// case study exposes in llvm-mca.
+// instTexts renders each instruction of the block for schedule traces.
+func instTexts(b *x86.Block) []string {
+	texts := make([]string, len(b.Insts))
+	for i := range b.Insts {
+		texts[i] = b.Insts[i].String()
+	}
+	return texts
+}
+
+// fuseLoadUops merges a load µop into the first computation µop, in place:
+// the fused unit inherits the sum of latencies and, because it is no longer
+// a load, waits for every input register — the scheduling mistake the
+// paper's last case study exposes in llvm-mca.
 func fuseLoadUops(uops []simUop) []simUop {
 	loadIdx := -1
 	for i, u := range uops {
@@ -143,7 +156,7 @@ func fuseLoadUops(uops []simUop) []simUop {
 	}
 	computeIdx := -1
 	for i, u := range uops {
-		if !u.isLoad && u.name != "store-addr" && u.name != "store-data" {
+		if !u.isLoad && u.class != uarch.ClassStoreAddr && u.class != uarch.ClassStoreData {
 			computeIdx = i
 			break
 		}
@@ -151,20 +164,9 @@ func fuseLoadUops(uops []simUop) []simUop {
 	if computeIdx < 0 {
 		return uops // pure load: nothing to fuse with
 	}
-	fused := uops[computeIdx]
-	fused.lat += uops[loadIdx].lat
-	fused.name = "load+" + fused.name
-	out := make([]simUop, 0, len(uops)-1)
-	for i, u := range uops {
-		switch i {
-		case loadIdx:
-		case computeIdx:
-			out = append(out, fused)
-		default:
-			out = append(out, u)
-		}
-	}
-	return out
+	uops[computeIdx].lat += uops[loadIdx].lat
+	uops[computeIdx].fusedLoad = true
+	return append(uops[:loadIdx], uops[loadIdx+1:]...)
 }
 
 // divReference returns the 64-bit divide latency in the CPU's tables.
@@ -253,7 +255,7 @@ func (m *IACA) Predict(b *x86.Block) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return derivedPrediction(insts, m.cpu.IssueWidth, m.cpu.NumPorts, len(b.Insts)), nil
+	return derivedPrediction(insts, m.cpu.IssueWidth, m.cpu.NumPorts, len(b.Insts))
 }
 
 // Schedule implements ScheduleTracer.
@@ -262,7 +264,5 @@ func (m *IACA) Schedule(b *x86.Block, iterations int) ([]ScheduleEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	var trace []ScheduleEntry
-	simulate(insts, m.cpu.IssueWidth, m.cpu.NumPorts, iterations, &trace)
-	return trace, nil
+	return schedule(insts, instTexts(b), m.cpu.IssueWidth, m.cpu.NumPorts, iterations)
 }

@@ -63,7 +63,7 @@ func (m *LLVMMCA) Predict(b *x86.Block) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return derivedPrediction(insts, m.cpu.IssueWidth, m.cpu.NumPorts, len(b.Insts)), nil
+	return derivedPrediction(insts, m.cpu.IssueWidth, m.cpu.NumPorts, len(b.Insts))
 }
 
 // Schedule implements ScheduleTracer.
@@ -72,7 +72,5 @@ func (m *LLVMMCA) Schedule(b *x86.Block, iterations int) ([]ScheduleEntry, error
 	if err != nil {
 		return nil, err
 	}
-	var trace []ScheduleEntry
-	simulate(insts, m.cpu.IssueWidth, m.cpu.NumPorts, iterations, &trace)
-	return trace, nil
+	return schedule(insts, instTexts(b), m.cpu.IssueWidth, m.cpu.NumPorts, iterations)
 }

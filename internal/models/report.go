@@ -22,7 +22,10 @@ func Report(cpu *uarch.CPU, b *x86.Block) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	tp := derivedPrediction(insts, cpu.IssueWidth, cpu.NumPorts, len(b.Insts))
+	tp, err := derivedPrediction(insts, cpu.IssueWidth, cpu.NumPorts, len(b.Insts))
+	if err != nil {
+		return "", err
+	}
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Throughput analysis report (%s)\n", cpu.Name)
@@ -57,7 +60,7 @@ func Report(cpu *uarch.CPU, b *x86.Block) (string, error) {
 			note = "  (move eliminated)"
 		}
 		fmt.Fprintf(&sb, "| %5d | %s | %3d | %s%s\n",
-			si.fused, portCells(cells), lat, si.text, note)
+			si.fused, portCells(cells), lat, b.Insts[i].String(), note)
 	}
 
 	fmt.Fprintf(&sb, "|-------+%s\n", strings.Repeat("-", 6*cpu.NumPorts))

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -59,5 +60,38 @@ func TestReportPortBound(t *testing.T) {
 	}
 	if _, err := Report(hsw, parse(t, "nop")); err != nil {
 		t.Fatalf("nop block: %v", err)
+	}
+}
+
+// TestReportGolden pins Report for the three case-study blocks on every
+// microarchitecture.
+func TestReportGolden(t *testing.T) {
+	const path = "testdata/report.golden"
+	var sb strings.Builder
+	for _, cpu := range uarch.All() {
+		for _, text := range []string{divBlock, "vxorps %xmm2, %xmm2, %xmm2", crcBlock} {
+			out, err := Report(cpu, parse(t, text))
+			if err != nil {
+				sb.WriteString("error: " + err.Error() + "\n\n")
+				continue
+			}
+			sb.WriteString(out + "\n")
+		}
+	}
+	got := sb.String()
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("Report diverged from the recorded output.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
