@@ -16,9 +16,11 @@ import (
 	"sync"
 	"testing"
 
+	"bhive/internal/bound"
 	"bhive/internal/exec"
 	"bhive/internal/harness"
 	"bhive/internal/machine"
+	"bhive/internal/memo"
 	"bhive/internal/models"
 	"bhive/internal/models/ithemal"
 	"bhive/internal/profiler"
@@ -345,6 +347,32 @@ func BenchmarkPredictLLVMMCA(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Predict(block); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMemoPrepared is the memo hit path: one Prepared lookup per
+// instruction of the CRC block, as every consumer makes.
+func BenchmarkMemoPrepared(b *testing.B) {
+	block, _ := x86.ParseBlock(harness.CRCBlockText, x86.SyntaxATT)
+	cpu := uarch.Haswell()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range block.Insts {
+			if p := memo.Prepared(cpu, &block.Insts[j]); p.Err != nil {
+				b.Fatal(p.Err)
+			}
+		}
+	}
+}
+
+func BenchmarkBoundAnalyze(b *testing.B) {
+	block, _ := x86.ParseBlock(harness.CRCBlockText, x86.SyntaxATT)
+	cpu := uarch.Haswell()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bound.Analyze(cpu, block); err != nil {
 			b.Fatal(err)
 		}
 	}

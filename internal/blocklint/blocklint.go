@@ -264,21 +264,20 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	// Encode and describe each instruction in order, as Prepare does: the
 	// facts and bounds need both, and the first failure decides the status
 	// with the offending instruction named.
-	raws := make([][]byte, n)
-	descs := make([]uarch.Desc, n)
+	pis := make([]*memo.PreparedInst, n)
 	offsets := make([]int, n)
-	off := 0
+	var code []byte
 	for i := 0; i < n; i++ {
+		off := len(code)
 		offsets[i] = off
-		raw, err := memo.Encode(&b.Insts[i])
-		if err != nil {
+		pi := memo.Prepared(a.CPU, &b.Insts[i])
+		if pi.EncErr != nil {
 			rep.Predicted = profiler.StatusCrashed
 			rep.addDiag(Diag{Code: CodeNoEncode, Inst: i, Offset: off,
-				Msg: fmt.Sprintf("%s: %v", b.Insts[i].String(), err)})
+				Msg: fmt.Sprintf("%s: %v", b.Insts[i].String(), pi.EncErr)})
 			return rep
 		}
-		d, err := memo.Describe(a.CPU, &b.Insts[i])
-		if err != nil {
+		if err := pi.DescErr; err != nil {
 			if _, ok := err.(*uarch.UnsupportedError); ok {
 				rep.Predicted = profiler.StatusUnsupported
 				rep.addDiag(Diag{Code: CodeUnsupported, Inst: i, Offset: off, Msg: err.Error()})
@@ -288,14 +287,8 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 			}
 			return rep
 		}
-		raws[i] = raw
-		descs[i] = d
-		off += len(raw)
-	}
-
-	var code []byte
-	for i := 0; i < n; i++ {
-		code = append(code, raws[i]...)
+		pis[i] = pi
+		code = append(code, pi.Raw...)
 	}
 	rep.Hex = hex.EncodeToString(code)
 	a.roundTrip(rep, b.Insts, code, orig)
@@ -305,11 +298,11 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	// Static cycle bounds over the same descriptors; the dependence facts
 	// come from the same simulator-congruent chain analysis (rename-aware,
 	// address/data asymmetric, store µops excluded from chains).
-	rep.Bounds = bound.FromDescs(a.CPU, b.Insts, descs)
+	rep.Bounds = bound.FromPrepared(a.CPU, pis)
 	rep.Facts.CritLatency = rep.Bounds.CritPath
 	rep.Facts.DepHeight = int(rep.Bounds.DepChain + 0.5)
-	for i := range descs {
-		if descs[i].Generic {
+	for i, pi := range pis {
+		if pi.Desc.Generic {
 			rep.addDiag(Diag{Code: CodeVacuousBounds, Inst: i, Offset: offsets[i],
 				Msg: fmt.Sprintf("%s: no µop table entry; bounds assume the generic 1-cycle ALU fallback", b.Insts[i].String())})
 		}

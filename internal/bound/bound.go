@@ -111,52 +111,40 @@ func AnalyzeFE(cpu *uarch.CPU, b *x86.Block, modeled bool) (*Bounds, error) {
 	if len(b.Insts) == 0 {
 		return nil, fmt.Errorf("bound: empty block")
 	}
-	descs := make([]uarch.Desc, len(b.Insts))
-	codeBytes, lcpCount := 0, 0
+	pis := make([]*memo.PreparedInst, len(b.Insts))
 	for i := range b.Insts {
-		d, err := memo.Describe(cpu, &b.Insts[i])
-		if err != nil {
-			return nil, fmt.Errorf("bound: instruction %d: %w", i, err)
+		pi := memo.Prepared(cpu, &b.Insts[i])
+		if pi.DescErr != nil {
+			return nil, fmt.Errorf("bound: instruction %d: %w", i, pi.DescErr)
 		}
-		descs[i] = d
-		if raw, err := memo.Encode(&b.Insts[i]); err == nil {
-			codeBytes += len(raw)
-			if x86.LengthChangingPrefix(raw) {
-				lcpCount++
-			}
-		}
+		pis[i] = pi
 	}
-	bs := fromDescs(cpu, b.Insts, descs, codeBytes)
+	bs := FromPrepared(cpu, pis)
 	if modeled {
-		modeledFrontEnd(cpu, bs, descs, lcpCount)
+		modeledFrontEnd(cpu, bs, pis)
 	}
 	return bs, nil
 }
 
-// FromDescs computes bounds from caller-supplied descriptors. It exists so
-// tests can perturb latency tables directly (the monotonicity property) and
-// so blocklint can reuse descriptors it already holds. Code bytes are
-// re-derived from the instructions; encoding failures just drop the fetch
-// term (weakening, never unsounding, the bound).
-func FromDescs(cpu *uarch.CPU, insts []x86.Inst, descs []uarch.Desc) *Bounds {
-	codeBytes := 0
-	for i := range insts {
-		if raw, err := memo.Encode(&insts[i]); err == nil {
-			codeBytes += len(raw)
-		}
-	}
-	return fromDescs(cpu, insts, descs, codeBytes)
-}
-
-func fromDescs(cpu *uarch.CPU, insts []x86.Inst, descs []uarch.Desc, codeBytes int) *Bounds {
+// FromPrepared computes bounds from memo entries the caller already
+// resolved (blocklint holds them), over each entry's renamed descriptor
+// (Desc) and register-use sets. Instructions that failed to encode just
+// drop out of the fetch term (weakening, never unsounding, the bound).
+func FromPrepared(cpu *uarch.CPU, pis []*memo.PreparedInst) *Bounds {
 	bs := &Bounds{}
-	if len(insts) == 0 {
+	if len(pis) == 0 {
 		return bs
+	}
+	codeBytes := 0
+	for _, pi := range pis {
+		if pi.EncErr == nil {
+			codeBytes += len(pi.Raw)
+		}
 	}
 
 	// Dependence term: exact maximum cycle ratio of the simulator-congruent
 	// dependence graph.
-	crit, height := Chain(cpu, insts, descs)
+	crit, height := chain(pis)
 	bs.CritPath, bs.DepChain = crit, height
 
 	// Port term: every µop needs max(1, occupancy) cycles of some port in
@@ -166,8 +154,8 @@ func fromDescs(cpu *uarch.CPU, insts []x86.Inst, descs []uarch.Desc, codeBytes i
 	fusedTotal := 0
 	var upper float64
 	nLoads := 0
-	for i := range descs {
-		d := &descs[i]
+	for _, pi := range pis {
+		d := &pi.Desc
 		fusedTotal += d.FusedUops
 		if d.Generic {
 			bs.Vacuous = true
@@ -235,10 +223,13 @@ func fromDescs(cpu *uarch.CPU, insts []x86.Inst, descs []uarch.Desc, codeBytes i
 // delivery machinery: every instruction decoding in its own MITE group,
 // every length-changing prefix stalling the predecoder, the predecoder's
 // window alignment, and both delivery switches.
-func modeledFrontEnd(cpu *uarch.CPU, bs *Bounds, descs []uarch.Desc, lcpCount int) {
-	fusedTotal := 0
-	for i := range descs {
-		fusedTotal += descs[i].FusedUops
+func modeledFrontEnd(cpu *uarch.CPU, bs *Bounds, pis []*memo.PreparedInst) {
+	fusedTotal, lcpCount := 0, 0
+	for _, pi := range pis {
+		fusedTotal += pi.Desc.FusedUops
+		if pi.EncErr == nil && pi.LCP {
+			lcpCount++
+		}
 	}
 	fe := float64(fusedTotal) / float64(cpu.IssueWidth)
 	if w := cpu.FE.DSBWidth; w > 0 {
@@ -256,7 +247,7 @@ func modeledFrontEnd(cpu *uarch.CPU, bs *Bounds, descs []uarch.Desc, lcpCount in
 		bs.Lower, bs.Verdict = bs.FrontEnd, VerdictFrontEnd
 	}
 
-	bs.Upper += float64(len(descs)) +
+	bs.Upper += float64(len(pis)) +
 		float64(lcpCount*cpu.FE.LCPStall) +
 		float64(2*cpu.FE.SwitchPenalty) + 1
 }

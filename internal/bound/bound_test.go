@@ -119,19 +119,20 @@ func TestFrontEndVerdict(t *testing.T) {
 	}
 }
 
-// TestVacuous pins the Generic-descriptor plumbing through FromDescs.
+// TestVacuous pins the Generic-descriptor plumbing through FromPrepared.
 func TestVacuous(t *testing.T) {
 	hsw := uarch.Haswell()
 	b := block(t, "4801d8")
-	d, err := memo.Describe(hsw, &b.Insts[0])
-	if err != nil {
-		t.Fatal(err)
+	pi := memo.Prepared(hsw, &b.Insts[0])
+	if pi.DescErr != nil {
+		t.Fatal(pi.DescErr)
 	}
-	if got := FromDescs(hsw, b.Insts, []uarch.Desc{d}); got.Vacuous {
+	d := pi.Desc
+	if got := fromDescs(hsw, b.Insts, []uarch.Desc{d}); got.Vacuous {
 		t.Fatal("table-backed descriptor marked vacuous")
 	}
 	d.Generic = true
-	if got := FromDescs(hsw, b.Insts, []uarch.Desc{d}); !got.Vacuous {
+	if got := fromDescs(hsw, b.Insts, []uarch.Desc{d}); !got.Vacuous {
 		t.Fatal("generic descriptor not marked vacuous")
 	}
 }
@@ -238,19 +239,19 @@ func TestMonotonicity(t *testing.T) {
 		descs := make([]uarch.Desc, len(b.Insts))
 		ok := true
 		for i := range b.Insts {
-			d, err := memo.Describe(hsw, &b.Insts[i])
-			if err != nil {
+			pi := memo.Prepared(hsw, &b.Insts[i])
+			if pi.DescErr != nil {
 				ok = false
 				break
 			}
-			descs[i] = d
+			descs[i] = pi.Desc
 		}
 		if !ok {
 			continue
 		}
-		base := FromDescs(hsw, b.Insts, descs)
+		base := fromDescs(hsw, b.Insts, descs)
 		for _, delta := range []int{1, 3} {
-			raised := FromDescs(hsw, b.Insts, raiseLats(descs, delta))
+			raised := fromDescs(hsw, b.Insts, raiseLats(descs, delta))
 			// The bisection undercuts the exact ratio by at most
 			// 1e-9*(1+hi); allow that sliver.
 			if raised.Lower < base.Lower-1e-6 {
@@ -284,4 +285,16 @@ func TestVerdictStrings(t *testing.T) {
 	if s := b.VerdictString(); s != "Port(p01)" {
 		t.Error(s)
 	}
+}
+
+// fromDescs is FromPrepared over caller-supplied descriptors, so tests can
+// perturb latency tables directly.
+func fromDescs(cpu *uarch.CPU, insts []x86.Inst, descs []uarch.Desc) *Bounds {
+	pis := make([]*memo.PreparedInst, len(insts))
+	for i := range insts {
+		pi := *memo.Prepared(cpu, &insts[i])
+		pi.Desc = descs[i]
+		pis[i] = &pi
+	}
+	return FromPrepared(cpu, pis)
 }

@@ -3,14 +3,13 @@ package bound
 import (
 	"bhive/internal/memo"
 	"bhive/internal/uarch"
-	"bhive/internal/x86"
 )
 
 // The dependence model mirrors the reference pipeline's dependence wiring
 // (internal/pipeline) exactly, because the bound is a claim about that
 // simulator:
 //
-//   - register-use sets come from memo.RegSets — the same address/data/
+//   - register-use sets come from memo.Prepared — the same address/data/
 //     write split the simulator's items carry;
 //   - an instruction's register writes become ready when its last compute
 //     µop completes (or its load µop, for pure loads); store µops never
@@ -46,17 +45,17 @@ type instChain struct {
 	loadLat    int64 // load µop latency (0 when hasLoad is false)
 	hasLoad    bool
 	hasCompute bool
-	addr, data []uint8 // pipeline register ids (memo.RegSets)
+	addr, data []uint8 // pipeline register ids (memo.Facts)
 	writes     []uint8
 }
 
 // buildChains derives the dependence-model summaries for a block.
-func buildChains(insts []x86.Inst, descs []uarch.Desc) []instChain {
-	chains := make([]instChain, len(insts))
-	for i := range insts {
+func buildChains(pis []*memo.PreparedInst) []instChain {
+	chains := make([]instChain, len(pis))
+	for i, pi := range pis {
 		c := &chains[i]
-		c.addr, c.data, c.writes = memo.RegSets(&insts[i])
-		d := &descs[i]
+		c.addr, c.data, c.writes = pi.Addr, pi.Data, pi.Writes
+		d := &pi.Desc
 		switch {
 		case d.ZeroIdiom:
 			c.kind = chainZero
@@ -170,9 +169,11 @@ func carriedEdges(chains []instChain) []depEdge {
 
 // positiveCycle reports whether the edge-weighted quotient graph contains
 // a cycle of positive total weight under w(e) = delta - lambda*lag
-// (Bellman-Ford from a virtual source connected to every node).
-func positiveCycle(n int, edges []depEdge, lambda float64) bool {
-	dist := make([]float64, n)
+// (Bellman-Ford from a virtual source connected to every node). dist is
+// scratch space of one entry per node; its contents are overwritten.
+func positiveCycle(dist []float64, edges []depEdge, lambda float64) bool {
+	clear(dist)
+	n := len(dist)
 	for pass := 0; pass <= n; pass++ {
 		changed := false
 		for _, e := range edges {
@@ -196,8 +197,12 @@ func positiveCycle(n int, edges []depEdge, lambda float64) bool {
 // cycle test; the returned value is from the feasible side, so it never
 // exceeds the true ratio (the lower bound stays sound).
 func maxCycleRatio(n int, edges []depEdge) float64 {
-	if len(edges) == 0 || !positiveCycle(n, edges, 0) {
+	if len(edges) == 0 {
 		return 0 // acyclic: no loop-carried dependence
+	}
+	dist := make([]float64, n) // shared by every positiveCycle probe
+	if !positiveCycle(dist, edges, 0) {
+		return 0
 	}
 	// Any simple cycle visits each instruction at most once, so its total
 	// delta is at most the sum of the largest per-instruction deltas.
@@ -215,7 +220,7 @@ func maxCycleRatio(n int, edges []depEdge) float64 {
 	lo := 0.0
 	for iter := 0; iter < 50 && hi-lo > 1e-9*(1+hi); iter++ {
 		mid := (lo + hi) / 2
-		if positiveCycle(n, edges, mid) {
+		if positiveCycle(dist, edges, mid) {
 			lo = mid
 		} else {
 			hi = mid
@@ -290,15 +295,14 @@ func critPath(chains []instChain) int64 {
 	return crit
 }
 
-// Chain computes the dependence-chain statistics of a block under the
+// chain computes the dependence-chain statistics of a block under the
 // simulator-congruent model: the single-iteration critical path (cycles
 // from clean state) and the steady-state loop-carried dependence height
 // (cycles per iteration, the maximum dependence-cycle ratio). It is the
 // shared computation behind blocklint's dependence facts and the
 // dependence term of the static lower bound.
-func Chain(cpu *uarch.CPU, insts []x86.Inst, descs []uarch.Desc) (crit int, height float64) {
-	_ = cpu // latencies are already baked into descs
-	chains := buildChains(insts, descs)
+func chain(pis []*memo.PreparedInst) (crit int, height float64) {
+	chains := buildChains(pis)
 	edges := carriedEdges(chains)
 	return int(critPath(chains)), maxCycleRatio(len(chains), edges)
 }

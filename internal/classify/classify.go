@@ -76,10 +76,11 @@ func classFeature(c uarch.UopClass) feature {
 // is used only for topic labelling.
 func BlockDoc(cpu *uarch.CPU, comboIdx map[uarch.PortSet]int, b *x86.Block) (words []int, feats []feature) {
 	for i := range b.Insts {
-		d, err := memo.Describe(cpu, &b.Insts[i])
-		if err != nil {
+		pi := memo.Prepared(cpu, &b.Insts[i])
+		if pi.DescErr != nil {
 			continue
 		}
+		d := &pi.Desc
 		for _, u := range d.Uops {
 			if w, ok := comboIdx[u.Ports]; ok {
 				words = append(words, w)
@@ -90,9 +91,8 @@ func BlockDoc(cpu *uarch.CPU, comboIdx map[uarch.PortSet]int, b *x86.Block) (wor
 		// combination (the static tables the paper uses know nothing of
 		// rename-time elimination).
 		if d.ZeroIdiom || d.EliminatedMove {
-			raw, err := memo.DescribeRaw(cpu, &b.Insts[i])
-			if err == nil {
-				for _, u := range raw.Uops {
+			if pi.DescRawErr == nil {
+				for _, u := range pi.DescRaw.Uops {
 					if w, ok := comboIdx[u.Ports]; ok {
 						words = append(words, w)
 						feats = append(feats, classFeature(u.Class))

@@ -48,21 +48,19 @@ func (s *Suite) BoundCheck(cpus []*uarch.CPU) ([]*Table, error) {
 
 	total := 0
 	for _, cpu := range cpus {
-		results := s.profileResults(cpu)
+		results := s.boundResults(cpu)
 		checked, vacuous, violations := 0, 0, 0
 		var verdicts [3]int
-		for i := range s.recs {
-			r := &results[i]
-			if r.Status != profiler.StatusOK || r.Throughput <= 0 ||
-				r.Counters.Cycles == 0 || r.UnrollHi <= 0 {
-				continue
-			}
-			bs, err := bound.Analyze(cpu, s.recs[i].Block)
-			if err != nil {
+		for i := range results {
+			r, bs := &results[i].res, results[i].bounds
+			if results[i].err != nil {
 				// Describable by the simulator but not the analyzer would be
-				// a wiring bug; both share memo.Describe, so an OK profile
+				// a wiring bug; both share memo.Prepared, so an OK profile
 				// implies analyzability.
-				return nil, fmt.Errorf("boundcheck: %s: %w", cpu.Name, err)
+				return nil, fmt.Errorf("boundcheck: %s: %w", cpu.Name, results[i].err)
+			}
+			if bs == nil {
+				continue
 			}
 			checked++
 			if bs.Vacuous {
@@ -111,12 +109,21 @@ func (s *Suite) BoundCheck(cpus []*uarch.CPU) ([]*Table, error) {
 	return tables, nil
 }
 
-// profileResults profiles the whole corpus keeping full results (the
+// boundResult is one record's profile and, when the profile is clean
+// enough to check, its static bounds (or the analysis error).
+type boundResult struct {
+	res    profiler.Result
+	bounds *bound.Bounds
+	err    error
+}
+
+// boundResults profiles the whole corpus keeping full results (the
 // model-evaluation path keeps only throughput+status, but the bound check
 // needs the cycle counters and unroll factors; the profile cache makes
-// the second pass cheap when both run).
-func (s *Suite) profileResults(cpu *uarch.CPU) []profiler.Result {
-	out := make([]profiler.Result, len(s.recs))
+// the second pass cheap when both run) and analyzes the checkable ones on
+// the same worker, right after their profile.
+func (s *Suite) boundResults(cpu *uarch.CPU) []boundResult {
+	out := make([]boundResult, len(s.recs))
 	var wg sync.WaitGroup
 	ch := make(chan int, len(s.recs))
 	for i := range s.recs {
@@ -131,8 +138,13 @@ func (s *Suite) profileResults(cpu *uarch.CPU) []profiler.Result {
 			p.Cache = s.cfg.ProfileCache
 			p.Metrics = s.cfg.Metrics
 			for i := range ch {
-				out[i] = p.Profile(s.recs[i].Block)
+				o := &out[i]
+				o.res = p.Profile(s.recs[i].Block)
 				s.profileCalls.Add(1)
+				if r := &o.res; r.Status == profiler.StatusOK && r.Throughput > 0 &&
+					r.Counters.Cycles > 0 && r.UnrollHi > 0 {
+					o.bounds, o.err = bound.Analyze(cpu, s.recs[i].Block)
+				}
 			}
 		}()
 	}

@@ -340,7 +340,9 @@ func TestResetAndRemap(t *testing.T) {
 
 func TestRegSetsFlagsAndImplicits(t *testing.T) {
 	in, _ := x86.ParseInst("adc rax, rbx", x86.SyntaxIntel)
-	_, data, writes := memo.RegSets(&in)
+	hsw := uarch.Haswell()
+	pi := memo.Prepared(hsw, &in)
+	data, writes := pi.Data, pi.Writes
 	hasFlagRead, hasFlagWrite := false, false
 	for _, r := range data {
 		if r == memo.RegFlags {
@@ -357,7 +359,8 @@ func TestRegSetsFlagsAndImplicits(t *testing.T) {
 	}
 
 	div, _ := x86.ParseInst("div ecx", x86.SyntaxIntel)
-	_, data, writes = memo.RegSets(&div)
+	pi = memo.Prepared(hsw, &div)
+	data, writes = pi.Data, pi.Writes
 	found := map[uint8]bool{}
 	for _, r := range data {
 		found[r] = true
@@ -374,7 +377,7 @@ func TestRegSetsFlagsAndImplicits(t *testing.T) {
 	}
 
 	mem, _ := x86.ParseInst("mov rax, qword ptr [rbx+rcx*2]", x86.SyntaxIntel)
-	addr, _, _ := memo.RegSets(&mem)
+	addr := memo.Prepared(hsw, &mem).Addr
 	if len(addr) != 2 {
 		t.Fatalf("addressing registers: %v", addr)
 	}

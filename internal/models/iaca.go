@@ -52,18 +52,12 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error)
 	uops := make([]simUop, 0, 2*len(b.Insts)+4)
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		var (
-			d   uarch.Desc
-			err error
-		)
-		if o.zeroIdioms && o.moveElim {
-			d, err = memo.Describe(cpu, in)
-		} else {
-			d, err = memo.DescribeRaw(cpu, in)
-			if err == nil && o.zeroIdioms {
-				if full, e2 := memo.Describe(cpu, in); e2 == nil && full.ZeroIdiom {
-					d = full
-				}
+		pi := memo.Prepared(cpu, in)
+		d, err := &pi.Desc, pi.DescErr
+		if !o.zeroIdioms || !o.moveElim {
+			d, err = &pi.DescRaw, pi.DescRawErr
+			if err == nil && o.zeroIdioms && pi.DescErr == nil && pi.Desc.ZeroIdiom {
+				d = &pi.Desc
 			}
 		}
 		if err != nil {
@@ -74,8 +68,10 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error)
 			fused:     d.FusedUops,
 			zeroIdiom: d.ZeroIdiom,
 			elimMove:  d.EliminatedMove,
+			addr:      pi.Addr,
+			data:      pi.Data,
+			writes:    pi.Writes,
 		}
-		si.addr, si.data, si.writes = memo.RegSets(in)
 
 		lo := len(uops)
 		for _, u := range d.Uops {
@@ -169,14 +165,17 @@ func fuseLoadUops(uops []simUop) []simUop {
 	return append(uops[:loadIdx], uops[loadIdx+1:]...)
 }
 
+// div64Ref is the instruction divReference looks up; it lives in a package
+// variable so the lookup does not allocate it on every call.
+var div64Ref = x86.NewInst(x86.DIV, x86.RegOp(x86.RCX))
+
 // divReference returns the 64-bit divide latency in the CPU's tables.
 func divReference(cpu *uarch.CPU) int {
-	in := x86.NewInst(x86.DIV, x86.RegOp(x86.RCX))
-	d, err := memo.Describe(cpu, &in)
-	if err != nil || len(d.Uops) == 0 {
+	pi := memo.Prepared(cpu, &div64Ref)
+	if pi.DescErr != nil || len(pi.Desc.Uops) == 0 {
 		return 90
 	}
-	return int(d.Uops[0].Lat)
+	return int(pi.Desc.Uops[0].Lat)
 }
 
 // portDropped decides deterministically whether a model's table binds the

@@ -94,22 +94,38 @@ func (m *OSACA) Predict(b *x86.Block) (float64, error) {
 	var chain [nregs]float64
 	frontEnd := 0.0
 
+	// Resolve each instruction once, in order, so the first parse or
+	// description failure is the one every sweep would have hit first.
+	var buf [64]*uarch.Desc // typical blocks resolve without a heap allocation
+	descs := buf[:0]
+	if len(b.Insts) > len(buf) {
+		descs = make([]*uarch.Desc, 0, len(b.Insts))
+	}
+	for i := range b.Insts {
+		in := &b.Insts[i]
+		skip, err := parseCheck(in)
+		if err != nil {
+			return 0, err
+		}
+		var d *uarch.Desc // nil: parsed as a NOP
+		if !skip {
+			pi := memo.Prepared(m.cpu, in)
+			if pi.DescRawErr != nil {
+				return 0, pi.DescRawErr
+			}
+			d = &pi.DescRaw
+		}
+		descs = append(descs, d)
+	}
+
 	const sweeps = 4
 	var peak [sweeps + 1]float64
 	for sweep := 1; sweep <= sweeps; sweep++ {
-		for i := range b.Insts {
-			in := &b.Insts[i]
-			skip, err := parseCheck(in)
-			if err != nil {
-				return 0, err
-			}
-			if skip {
+		for i, d := range descs {
+			if d == nil {
 				continue
 			}
-			d, err := memo.DescribeRaw(m.cpu, in)
-			if err != nil {
-				return 0, err
-			}
+			in := &b.Insts[i]
 
 			instLat := 0.0
 			for _, u := range d.Uops {
@@ -216,8 +232,8 @@ func (m *OSACA) effStrength(c uarch.UopClass) float64 {
 	return m.opts.perturbStrength
 }
 
-// regUse mirrors memo.RegSets with the 33-register id space, kept local
-// so OSACA's view stays self-contained.
+// regUse mirrors memo's register-use sets with the 33-register id space,
+// kept local so OSACA's view stays self-contained.
 func regUse(in *x86.Inst) (addr, data, writes []uint8) {
 	id := func(r x86.Reg) (uint8, bool) {
 		switch b := r.Base64(); b.Class() {
