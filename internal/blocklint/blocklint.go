@@ -300,7 +300,7 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	// address/data asymmetric, store µops excluded from chains).
 	rep.Bounds = bound.FromPrepared(a.CPU, pis)
 	rep.Facts.CritLatency = rep.Bounds.CritPath
-	rep.Facts.DepHeight = int(rep.Bounds.DepChain + 0.5)
+	rep.Facts.DepHeight = rep.Bounds.DepHeight()
 	for i, pi := range pis {
 		if pi.Desc.Generic {
 			rep.addDiag(Diag{Code: CodeVacuousBounds, Inst: i, Offset: offsets[i],

@@ -163,6 +163,17 @@ func TestFacts(t *testing.T) {
 		t.Errorf("imul dep height %d, want multiplier latency", h)
 	}
 
+	// A generated block whose carried chains peak at exactly 7/2 cycles
+	// per iteration: the height rounds halves down, as it did when the
+	// ratio was bisected from below.
+	rep = a.AnalyzeHex("c4413057c9f30f117b3c4528f94183e30ec57c108fe00000004d39c04d0f42ff4f8984e5080100004d0fafc14889543e40440f1093d0000000")
+	if rep.Bounds == nil || rep.Bounds.DepChain != 3.5 {
+		t.Fatalf("half-cycle block bounds %+v, want dep chain 3.5", rep.Bounds)
+	}
+	if h := rep.Facts.DepHeight; h != 3 {
+		t.Errorf("half-cycle block dep height %d, want 3 (halves round down)", h)
+	}
+
 	// mov rcx,rcx-style independent work: no carried chain. Use xor
 	// ecx,ecx (zero idiom, eliminated at rename).
 	rep = a.AnalyzeHex("31c9")

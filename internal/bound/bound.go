@@ -75,6 +75,19 @@ type Bounds struct {
 	// against the simulator, which uses the same fallback, but they say
 	// nothing about real hardware. bhive-lint reports these as BL015.
 	Vacuous bool `json:"vacuous,omitempty"`
+
+	// depNum/depDen is DepChain as the exact reduced fraction.
+	depNum, depDen int64
+}
+
+// DepHeight is DepChain rounded to whole cycles, computed from the exact
+// cycle ratio with halves rounding down (a ratio of 5/2 gives 2).
+func (b *Bounds) DepHeight() int {
+	p, q := b.depNum, b.depDen
+	if 2*p <= q {
+		return 0
+	}
+	return int((2*p + q - 1) / (2 * q))
 }
 
 // VerdictString renders the verdict with the binding port subset, e.g.
@@ -111,17 +124,19 @@ func AnalyzeFE(cpu *uarch.CPU, b *x86.Block, modeled bool) (*Bounds, error) {
 	if len(b.Insts) == 0 {
 		return nil, fmt.Errorf("bound: empty block")
 	}
-	pis := make([]*memo.PreparedInst, len(b.Insts))
+	s := getScratch()
+	defer s.release()
+	s.pis = grow(s.pis, len(b.Insts))
 	for i := range b.Insts {
 		pi := memo.Prepared(cpu, &b.Insts[i])
 		if pi.DescErr != nil {
 			return nil, fmt.Errorf("bound: instruction %d: %w", i, pi.DescErr)
 		}
-		pis[i] = pi
+		s.pis[i] = pi
 	}
-	bs := FromPrepared(cpu, pis)
+	bs := s.fromPrepared(cpu, s.pis)
 	if modeled {
-		modeledFrontEnd(cpu, bs, pis)
+		modeledFrontEnd(cpu, bs, s.pis)
 	}
 	return bs, nil
 }
@@ -131,6 +146,12 @@ func AnalyzeFE(cpu *uarch.CPU, b *x86.Block, modeled bool) (*Bounds, error) {
 // (Desc) and register-use sets. Instructions that failed to encode just
 // drop out of the fetch term (weakening, never unsounding, the bound).
 func FromPrepared(cpu *uarch.CPU, pis []*memo.PreparedInst) *Bounds {
+	s := getScratch()
+	defer s.release()
+	return s.fromPrepared(cpu, pis)
+}
+
+func (s *scratch) fromPrepared(cpu *uarch.CPU, pis []*memo.PreparedInst) *Bounds {
 	bs := &Bounds{}
 	if len(pis) == 0 {
 		return bs
@@ -144,13 +165,16 @@ func FromPrepared(cpu *uarch.CPU, pis []*memo.PreparedInst) *Bounds {
 
 	// Dependence term: exact maximum cycle ratio of the simulator-congruent
 	// dependence graph.
-	crit, height := chain(pis)
-	bs.CritPath, bs.DepChain = crit, height
+	bs.CritPath, bs.depNum, bs.depDen = s.chain(pis)
+	bs.DepChain = float64(bs.depNum) / float64(bs.depDen)
 
 	// Port term: every µop needs max(1, occupancy) cycles of some port in
 	// its allowed combination (the simulator holds a port for `occupancy`
 	// cycles when the unit is unpipelined, one dispatch cycle otherwise).
-	load := make(map[uarch.PortSet]float64)
+	// A block binds few distinct combinations, so the profile is a short
+	// pair list on the stack.
+	var loadBuf [16]portmap.PortLoad
+	load := loadBuf[:0]
 	fusedTotal := 0
 	var upper float64
 	nLoads := 0
@@ -161,12 +185,12 @@ func FromPrepared(cpu *uarch.CPU, pis []*memo.PreparedInst) *Bounds {
 			bs.Vacuous = true
 		}
 		for _, u := range d.Uops {
-			occ := float64(u.Occupancy)
+			occ := int64(u.Occupancy)
 			if occ < 1 {
 				occ = 1
 			}
-			load[u.Ports] += occ
-			upper += float64(u.Lat) + occ
+			load = addLoad(load, u.Ports, occ)
+			upper += float64(u.Lat) + float64(occ)
 			if u.Class == uarch.ClassLoad {
 				nLoads++
 			}
@@ -194,14 +218,7 @@ func FromPrepared(cpu *uarch.CPU, pis []*memo.PreparedInst) *Bounds {
 		}
 	}
 
-	bs.Lower = bs.DepChain
-	bs.Verdict = VerdictDepChain
-	if bs.PortPressure > bs.Lower {
-		bs.Lower, bs.Verdict = bs.PortPressure, VerdictPort
-	}
-	if bs.FrontEnd > bs.Lower {
-		bs.Lower, bs.Verdict = bs.FrontEnd, VerdictFrontEnd
-	}
+	bs.pickVerdict()
 
 	// Upper bound: fully serial execution — every µop waits out its
 	// latency and unit occupancy, every fused µop takes an allocation
@@ -213,6 +230,32 @@ func FromPrepared(cpu *uarch.CPU, pis []*memo.PreparedInst) *Bounds {
 	fwdSlack := float64(cpu.FwdLatency - cpu.L1DLatency + 1)
 	bs.Upper = upper + float64(fusedTotal) + fetch + float64(nLoads)*fwdSlack + 2
 	return bs
+}
+
+// addLoad adds c port cycles on the combination ports to the profile.
+func addLoad(load []portmap.PortLoad, ports uarch.PortSet, c int64) []portmap.PortLoad {
+	for i := range load {
+		if load[i].Ports == ports {
+			load[i].Cycles += c
+			return load
+		}
+	}
+	return append(load, portmap.PortLoad{Ports: ports, Cycles: c})
+}
+
+// pickVerdict sets Lower to the largest lower-bound term and Verdict to
+// the term attaining it. On exact ties a positive DepChain loses to Port
+// and FrontEnd, and Port beats FrontEnd; a zero DepChain wins ties (all
+// terms zero).
+func (bs *Bounds) pickVerdict() {
+	depLoses := bs.DepChain > 0
+	bs.Lower, bs.Verdict = bs.DepChain, VerdictDepChain
+	if bs.PortPressure > bs.Lower || depLoses && bs.PortPressure == bs.Lower {
+		bs.Lower, bs.Verdict = bs.PortPressure, VerdictPort
+	}
+	if bs.FrontEnd > bs.Lower || depLoses && bs.Verdict == VerdictDepChain && bs.FrontEnd == bs.Lower {
+		bs.Lower, bs.Verdict = bs.FrontEnd, VerdictFrontEnd
+	}
 }
 
 // modeledFrontEnd rewrites the front-end floor and upper-bound slack of bs
@@ -238,14 +281,7 @@ func modeledFrontEnd(cpu *uarch.CPU, bs *Bounds, pis []*memo.PreparedInst) {
 		}
 	}
 	bs.FrontEnd = fe
-
-	bs.Lower, bs.Verdict = bs.DepChain, VerdictDepChain
-	if bs.PortPressure > bs.Lower {
-		bs.Lower, bs.Verdict = bs.PortPressure, VerdictPort
-	}
-	if bs.FrontEnd > bs.Lower {
-		bs.Lower, bs.Verdict = bs.FrontEnd, VerdictFrontEnd
-	}
+	bs.pickVerdict()
 
 	bs.Upper += float64(len(pis)) +
 		float64(lcpCount*cpu.FE.LCPStall) +

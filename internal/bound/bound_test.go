@@ -228,9 +228,9 @@ func raiseLats(descs []uarch.Desc, delta int) []uarch.Desc {
 }
 
 // TestMonotonicity is the differential property: raising any latency table
-// entry never decreases the lower bound (the bisection returns from the
-// feasible side, the port and front-end terms ignore latency, and the
-// dependence graph's edge weights are monotone in the µop latencies).
+// entry never decreases the lower bound (the cycle ratio is exact, the
+// port and front-end terms ignore latency, and the dependence graph's edge
+// weights are monotone in the µop latencies).
 func TestMonotonicity(t *testing.T) {
 	blocks := corpusBlocks(t)
 	hsw := uarch.Haswell()
@@ -252,9 +252,7 @@ func TestMonotonicity(t *testing.T) {
 		base := fromDescs(hsw, b.Insts, descs)
 		for _, delta := range []int{1, 3} {
 			raised := fromDescs(hsw, b.Insts, raiseLats(descs, delta))
-			// The bisection undercuts the exact ratio by at most
-			// 1e-9*(1+hi); allow that sliver.
-			if raised.Lower < base.Lower-1e-6 {
+			if raised.Lower < base.Lower {
 				hexStr, _ := b.Hex()
 				t.Fatalf("%s: raising latencies by %d dropped lower %.6f -> %.6f",
 					hexStr, delta, base.Lower, raised.Lower)

@@ -1,9 +1,45 @@
 package bound
 
 import (
+	"fmt"
+	"sync"
+
 	"bhive/internal/memo"
 	"bhive/internal/uarch"
 )
+
+// scratch is the working memory of one bound analysis. Every slice is
+// reused across calls through scratchPool, so a warm analysis allocates
+// only its result.
+type scratch struct {
+	pis    []*memo.PreparedInst
+	chains []instChain
+	edges  []depEdge
+	dist   []int64 // Bellman–Ford longest-path distances, one per node
+	pred   []int32 // per node: index of the edge that last relaxed it
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch takes a scratch from the pool; the caller defers release.
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release returns s to the pool without keeping any block's memo entries
+// alive through it.
+func (s *scratch) release() {
+	clear(s.pis)
+	clear(s.chains)
+	scratchPool.Put(s)
+}
+
+// grow returns s[:n], reallocating when the capacity is short. The
+// returned contents are unspecified; callers overwrite them.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // The dependence model mirrors the reference pipeline's dependence wiring
 // (internal/pipeline) exactly, because the bound is a claim about that
@@ -49,12 +85,13 @@ type instChain struct {
 	writes     []uint8
 }
 
-// buildChains derives the dependence-model summaries for a block.
-func buildChains(pis []*memo.PreparedInst) []instChain {
-	chains := make([]instChain, len(pis))
+// buildChains derives the dependence-model summaries for a block into
+// chains, reusing its capacity.
+func buildChains(chains []instChain, pis []*memo.PreparedInst) []instChain {
+	chains = grow(chains, len(pis))
 	for i, pi := range pis {
 		c := &chains[i]
-		c.addr, c.data, c.writes = pi.Addr, pi.Data, pi.Writes
+		*c = instChain{addr: pi.Addr, data: pi.Data, writes: pi.Writes}
 		d := &pi.Desc
 		switch {
 		case d.ZeroIdiom:
@@ -106,14 +143,14 @@ const aliasCopies = 4
 // carriedEdges extracts the steady-state dependence edges of one
 // iteration: the writer map is advanced over aliasCopies copies of the
 // block, and the edges feeding the final copy are reported with their
-// iteration lag.
-func carriedEdges(chains []instChain) []depEdge {
+// iteration lag, appended to edges[:0].
+func carriedEdges(edges []depEdge, chains []instChain) []depEdge {
 	n := len(chains)
 	var writer [numRegs]int32 // global node id (copy*n + inst), -1 = no producer
 	for i := range writer {
 		writer[i] = -1
 	}
-	var edges []depEdge
+	edges = edges[:0]
 	for k := 0; k < aliasCopies; k++ {
 		last := k == aliasCopies-1
 		for i := 0; i < n; i++ {
@@ -167,66 +204,89 @@ func carriedEdges(chains []instChain) []depEdge {
 	return edges
 }
 
-// positiveCycle reports whether the edge-weighted quotient graph contains
-// a cycle of positive total weight under w(e) = delta - lambda*lag
-// (Bellman-Ford from a virtual source connected to every node). dist is
-// scratch space of one entry per node; its contents are overwritten.
-func positiveCycle(dist []float64, edges []depEdge, lambda float64) bool {
-	clear(dist)
-	n := len(dist)
-	for pass := 0; pass <= n; pass++ {
-		changed := false
-		for _, e := range edges {
-			w := float64(e.delta) - lambda*float64(e.lag)
-			if d := dist[e.from] + w; d > dist[e.to]+1e-9 {
-				dist[e.to] = d
-				changed = true
+// maxCycleRatio computes the maximum cycles-per-iteration over all
+// dependence cycles, max over cycles of Σdelta / Σlag, exactly: the result
+// is the reduced fraction p/q (0/1 when no cycle carries latency).
+// Intra-iteration edges run strictly forward, so every cycle carries
+// lag ≥ 1 and the ratio is well defined.
+//
+// The search is a sequence of improving cycles. With the current ratio
+// p/q, one longest-path Bellman–Ford over the integer weights
+// q·delta − p·lag either converges, which certifies that no cycle beats
+// p/q, or still relaxes in pass n, which exposes a positive cycle in the
+// predecessor graph. That cycle's Σdelta/Σlag strictly exceeds p/q and
+// becomes the next ratio. There are finitely many simple cycles, so the
+// search ends, usually after two or three rounds.
+func (s *scratch) maxCycleRatio(n int, edges []depEdge) (p, q int64) {
+	p, q = 0, 1
+	if len(edges) == 0 {
+		return p, q // acyclic: no loop-carried dependence
+	}
+	s.dist, s.pred = grow(s.dist, n), grow(s.pred, n)
+	for {
+		v := s.positiveCycle(edges, p, q)
+		if v < 0 {
+			return p, q
+		}
+		var sumDelta, sumLag int64
+		for x := v; ; {
+			e := &edges[s.pred[x]]
+			sumDelta += e.delta
+			sumLag += int64(e.lag)
+			if x = e.from; x == v {
+				break
 			}
 		}
-		if !changed {
-			return false
+		g := gcd(sumDelta, sumLag)
+		np, nq := sumDelta/g, sumLag/g
+		if np*q <= p*nq {
+			panic(fmt.Sprintf("bound: cycle ratio %d/%d does not improve on %d/%d", np, nq, p, q))
 		}
+		p, q = np, nq
 	}
-	return true
 }
 
-// maxCycleRatio computes the maximum cycles-per-iteration over all
-// dependence cycles: max over cycles of Σdelta / Σlag. Intra-iteration
-// edges run strictly forward, so every cycle carries lag ≥ 1 and the
-// ratio is well defined. The value is found by bisection on the positive-
-// cycle test; the returned value is from the feasible side, so it never
-// exceeds the true ratio (the lower bound stays sound).
-func maxCycleRatio(n int, edges []depEdge) float64 {
-	if len(edges) == 0 {
-		return 0 // acyclic: no loop-carried dependence
-	}
-	dist := make([]float64, n) // shared by every positiveCycle probe
-	if !positiveCycle(dist, edges, 0) {
-		return 0
-	}
-	// Any simple cycle visits each instruction at most once, so its total
-	// delta is at most the sum of the largest per-instruction deltas.
-	var hi float64
-	perInst := make([]int64, n)
-	for _, e := range edges {
-		if e.delta > perInst[e.to] {
-			perInst[e.to] = e.delta
+// positiveCycle runs Bellman–Ford for the longest paths from a virtual
+// source joined to every node, over the weights q·delta − p·lag, and
+// returns a node on a positive-weight cycle of the predecessor graph, or
+// -1 when the distances converge (no cycle has positive weight). Over n
+// real nodes convergence takes at most n passes, so a relaxation in pass
+// n (counting from 0) proves a positive cycle. A node relaxed in pass k
+// has a predecessor last relaxed in pass k-1 or later, so walking n steps
+// back from a node relaxed in pass n visits n+1 nodes that all have
+// predecessors: some node repeats, and the walk ends on the cycle.
+// Predecessor-graph cycles always have positive weight under the
+// weights that formed them.
+func (s *scratch) positiveCycle(edges []depEdge, p, q int64) int {
+	dist, pred := s.dist, s.pred
+	n := len(dist)
+	clear(dist)
+	for pass := 0; ; pass++ {
+		last := -1
+		for i := range edges {
+			e := &edges[i]
+			if d := dist[e.from] + q*e.delta - p*int64(e.lag); d > dist[e.to] {
+				dist[e.to], pred[e.to] = d, int32(i)
+				last = e.to
+			}
+		}
+		if last < 0 {
+			return -1
+		}
+		if pass == n {
+			for k := 0; k < n; k++ {
+				last = edges[pred[last]].from
+			}
+			return last
 		}
 	}
-	for _, d := range perInst {
-		hi += float64(d)
+}
+
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
 	}
-	hi++
-	lo := 0.0
-	for iter := 0; iter < 50 && hi-lo > 1e-9*(1+hi); iter++ {
-		mid := (lo + hi) / 2
-		if positiveCycle(dist, edges, mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return a
 }
 
 // critPath computes the latency-weighted critical path of a single
@@ -298,11 +358,12 @@ func critPath(chains []instChain) int64 {
 // chain computes the dependence-chain statistics of a block under the
 // simulator-congruent model: the single-iteration critical path (cycles
 // from clean state) and the steady-state loop-carried dependence height
-// (cycles per iteration, the maximum dependence-cycle ratio). It is the
-// shared computation behind blocklint's dependence facts and the
+// (cycles per iteration, the maximum dependence-cycle ratio p/q). It is
+// the shared computation behind blocklint's dependence facts and the
 // dependence term of the static lower bound.
-func chain(pis []*memo.PreparedInst) (crit int, height float64) {
-	chains := buildChains(pis)
-	edges := carriedEdges(chains)
-	return int(critPath(chains)), maxCycleRatio(len(chains), edges)
+func (s *scratch) chain(pis []*memo.PreparedInst) (crit int, p, q int64) {
+	s.chains = buildChains(s.chains, pis)
+	s.edges = carriedEdges(s.edges, s.chains)
+	p, q = s.maxCycleRatio(len(s.chains), s.edges)
+	return int(critPath(s.chains)), p, q
 }

@@ -2,6 +2,7 @@ package portmap
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"bhive/internal/uarch"
@@ -11,25 +12,85 @@ func TestSubsetPressure(t *testing.T) {
 	p := uarch.Ports
 	cases := []struct {
 		name string
-		load map[uarch.PortSet]float64
+		load []PortLoad
 		want float64
 		set  uarch.PortSet
 	}{
 		{"empty", nil, 0, 0},
-		{"single port", map[uarch.PortSet]float64{p(0): 3}, 3, p(0)},
-		{"two spreadable", map[uarch.PortSet]float64{p(0, 1): 4}, 2, p(0, 1)},
+		{"single port", []PortLoad{{p(0), 3}}, 3, p(0)},
+		{"two spreadable", []PortLoad{{p(0, 1), 4}}, 2, p(0, 1)},
 		// Restricted µops force the shared subset even though the wide
 		// combination alone would spread: {0,1} holds 1+1+2 = 4 over 2.
-		{"hall deficiency", map[uarch.PortSet]float64{p(0): 1, p(1): 1, p(0, 1): 2}, 2, p(0, 1)},
+		{"hall deficiency", []PortLoad{{p(0), 1}, {p(1), 1}, {p(0, 1), 2}}, 2, p(0, 1)},
 		// The narrow subset binds when the restricted load dominates.
-		{"narrow binds", map[uarch.PortSet]float64{p(0): 5, p(0, 1, 2): 3}, 5, p(0)},
+		{"narrow binds", []PortLoad{{p(0), 5}, {p(0, 1, 2), 3}}, 5, p(0)},
 		// Zero and unconstrained (PortSet 0) entries are ignored.
-		{"ignores zero", map[uarch.PortSet]float64{p(0): 0, 0: 7}, 0, 0},
+		{"ignores zero", []PortLoad{{p(0), 0}, {0, 7}}, 0, 0},
+		// Duplicate combinations add up.
+		{"duplicates add", []PortLoad{{p(0), 2}, {p(0, 1), 1}, {p(0), 3}}, 5, p(0)},
 	}
 	for _, c := range cases {
 		got, set := SubsetPressure(c.load)
 		if math.Abs(got-c.want) > 1e-9 || set != c.set {
 			t.Errorf("%s: got %.4f on %s, want %.4f on %s", c.name, got, set, c.want, c.set)
+		}
+		if ref, refSet := subsetPressureMap(loadMap(c.load)); got != ref || set != refSet {
+			t.Errorf("%s: got %.4f on %s, map reference %.4f on %s", c.name, got, set, ref, refSet)
+		}
+	}
+}
+
+// subsetPressureMap is the map-keyed form SubsetPressure replaced, kept as
+// the reference: the same submask walk and strict > over float costs.
+func subsetPressureMap(load map[uarch.PortSet]float64) (float64, uarch.PortSet) {
+	var union uarch.PortSet
+	for m, v := range load {
+		if v > 0 && m != 0 {
+			union |= m
+		}
+	}
+	if union == 0 {
+		return 0, 0
+	}
+	best, bestSet := 0.0, uarch.PortSet(0)
+	for s := union; s != 0; s = (s - 1) & union {
+		cost := 0.0
+		for m, v := range load {
+			if m != 0 && m&^s == 0 {
+				cost += v
+			}
+		}
+		if r := cost / float64(s.Count()); r > best {
+			best, bestSet = r, s
+		}
+	}
+	return best, bestSet
+}
+
+func loadMap(load []PortLoad) map[uarch.PortSet]float64 {
+	m := make(map[uarch.PortSet]float64)
+	for _, l := range load {
+		m[l.Ports] += float64(l.Cycles)
+	}
+	return m
+}
+
+// TestSubsetPressureMatchesMap checks the pair-list form against the map
+// reference on random profiles, tie-break included: small port universes
+// and small costs make exactly tied subsets common.
+func TestSubsetPressureMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 20000; iter++ {
+		nports := 1 + rng.Intn(10)
+		var load []PortLoad
+		for k := rng.Intn(12); k > 0; k-- {
+			ports := uarch.PortSet(rng.Intn(1 << nports))
+			load = append(load, PortLoad{ports, int64(rng.Intn(8))})
+		}
+		got, set := SubsetPressure(load)
+		want, wantSet := subsetPressureMap(loadMap(load))
+		if got != want || set != wantSet {
+			t.Fatalf("%v: got %v on %s, map reference %v on %s", load, got, set, want, wantSet)
 		}
 	}
 }
@@ -39,11 +100,11 @@ func TestSubsetPressure(t *testing.T) {
 // can finish in fewer cycles than the subset bound.
 func TestSubsetPressureLowerBoundsSchedule(t *testing.T) {
 	p := uarch.Ports
-	load := map[uarch.PortSet]float64{
-		p(0):    2,
-		p(0, 1): 3,
-		p(1, 5): 1,
-		p(5):    2,
+	load := []PortLoad{
+		{p(0), 2},
+		{p(0, 1), 3},
+		{p(1, 5), 1},
+		{p(5), 2},
 	}
 	bound, _ := SubsetPressure(load)
 
@@ -51,14 +112,14 @@ func TestSubsetPressureLowerBoundsSchedule(t *testing.T) {
 	// combination and take the best makespan.
 	type uop struct{ ports []int }
 	var uops []uop
-	for m, v := range load {
+	for _, l := range load {
 		var ps []int
 		for i := 0; i < 16; i++ {
-			if m.Has(i) {
+			if l.Ports.Has(i) {
 				ps = append(ps, i)
 			}
 		}
-		for k := 0; k < int(v); k++ {
+		for k := int64(0); k < l.Cycles; k++ {
 			uops = append(uops, uop{ports: ps})
 		}
 	}
